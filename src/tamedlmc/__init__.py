@@ -12,7 +12,6 @@ from .numerics import (
     RngStream,
     finite_diff_gradient,
     finite_diff_jacobian,
-    gauss_draw,
     integrate_semi_infinite,
     log_gamma,
 )
@@ -32,20 +31,15 @@ from .potentials import (
     override_constants,
 )
 from .sampler import (
-    ChainState,
     DivergenceError,
     EmpiricalMeasure,
     SamplerConfig,
     estimate_v2_integral,
     gaussian_chain_rho,
     gaussian_chain_std,
-    max_step_size,
-    mtula_step,
     reference_measure,
-    reference_sample,
     run_chains,
     tamed_gradient,
-    ula_step,
 )
 from .constants import (
     DerivedConstants,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import subprocess
 import sys
@@ -46,6 +47,7 @@ class DivergenceExit(Exception):
     pass
 
 
+@functools.cache
 def _version_stamp() -> str:
     try:
         from importlib.metadata import version
@@ -56,7 +58,7 @@ def _version_stamp() -> str:
     try:
         rev = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=5,
+            capture_output=True, text=True, timeout=5, cwd=Path(__file__).parent,
         )
         if rev.returncode == 0:
             return f"{v}+git.{rev.stdout.strip()}"
@@ -216,6 +218,11 @@ def cmd_histogram(args) -> int:
     if meta_path.exists():
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
+    beta = meta.get("beta", 1.0)
+    if beta != 1.0:
+        raise UsageError(
+            f"the analytic marginals are for beta = 1; the samples have beta = {beta}"
+        )
     target_name = args.target or meta.get("target")
     if target_name is None:
         raise UsageError("--target is required when the samples have no metadata file")
@@ -481,18 +488,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def shared(p, seed_default=None):
+    def shared(p):
         p.add_argument("--target", choices=potentials.TARGET_NAMES)
         p.add_argument("--dim", type=int)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--seed", type=int, default=seed_default)
+        p.add_argument("--seed", type=int)
         p.add_argument("--out")
         p.add_argument("--force", action="store_true")
+
+    def configurable(p):
         p.add_argument("--config", help="JSON config file (explicit flags win)")
         p.add_argument("--preset", choices=sorted(PRESETS))
 
     p = sub.add_parser("sample", help="run chains and write final iterates as CSV")
     shared(p)
+    p.add_argument("--beta", type=float)
+    configurable(p)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--chains", type=int)
     p.add_argument("--horizon", type=float)
@@ -512,6 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="distance-vs-step-size sweep and log-log fit")
     shared(p)
+    p.add_argument("--beta", type=float)
+    configurable(p)
     p.add_argument("--metric", choices=("w1", "w2", "sw1", "sw2", "gaussian-exact"),
                    default="w1")
     p.add_argument("--grid", help="comma-separated step sizes")
@@ -528,6 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="derived-constants JSON report")
     shared(p)
+    p.add_argument("--beta", type=float)
     p.add_argument("--p-list", help="comma-separated extra moment degrees")
     p.add_argument("--v2-method", choices=("quadrature", "mc", "none"),
                    default="quadrature")

@@ -49,16 +49,6 @@ class RngStream:
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 
 
-def gauss_draw(stream: RngStream, d: int) -> np.ndarray:
-    """Draw a vector of ``d`` independent standard normal variates.
-
-    Advances ``stream`` deterministically.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return stream.normal(d)
-
-
 def log_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0.
 

@@ -308,8 +308,14 @@ def _double_well_log_denominator(d: int) -> float:
 
 
 def _double_well_marginal_pdf(d: int):
-    log_prefactor = log_gamma(d / 2.0) - log_gamma((d - 1.0) / 2.0) - 0.5 * np.log(np.pi)
     log_den = _double_well_log_denominator(d)
+    if d == 1:
+        # the first marginal is the whole law exp(-U(x)) / Z
+        def pdf_1d(x):
+            return np.exp(-_double_well_u(np.asarray(x, dtype=float)[..., None]) - log_den)
+
+        return pdf_1d
+    log_prefactor = log_gamma(d / 2.0) - log_gamma((d - 1.0) / 2.0) - 0.5 * np.log(np.pi)
 
     def pdf(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))

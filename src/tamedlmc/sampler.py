@@ -1,5 +1,5 @@
-"""Tamed and untamed Langevin chains, a fine-step reference integrator,
-and the multi-chain experiment runner.
+"""The Langevin chain: one vectorized kernel, tamed or untamed; fine-step
+reference draws built on it.
 
 The update rule is
 
@@ -10,7 +10,8 @@ where the tamed drift divides the gradient by (1 + lam |theta|^{2r})^{1/2}
 to blow up on super-linear gradients at practical step sizes.
 
 Chain i always consumes RngStream(master_seed, i), so multi-chain results
-are bitwise independent of execution order, chunking, or worker count.
+are bitwise independent of execution order, chunking, or worker count; a
+single chain is a one-row block of the same kernel.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream, gauss_draw
+from .numerics import RngStream
 from .potentials import TargetSpec, row_norm_sq
 from . import constants as constants_mod
 
-ALGORITHMS = ("mtula", "ula", "reference")
+ALGORITHMS = ("mtula", "ula")
 
 
 class DivergenceError(RuntimeError):
@@ -84,13 +85,6 @@ class SamplerConfig:
 
 
 @dataclass
-class ChainState:
-    theta: np.ndarray
-    step: int
-    stream: RngStream
-
-
-@dataclass
 class EmpiricalMeasure:
     """Final iterates of a chain family, one row per surviving chain."""
 
@@ -116,32 +110,6 @@ def tamed_gradient(target: TargetSpec, theta: np.ndarray, lam: float) -> np.ndar
     sq = row_norm_sq(theta)
     denom = np.sqrt(1.0 + lam * sq**target.r)
     return hval / (denom[..., None] if theta.ndim > 1 else denom)
-
-
-def _advance(state: ChainState, config: SamplerConfig, target: TargetSpec, drift_fn):
-    xi = gauss_draw(state.stream, config.d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = drift_fn(state.theta)
-        theta = state.theta - config.lam * drift + math.sqrt(
-            2.0 * config.lam / config.beta
-        ) * xi
-    step = state.step + 1
-    if not np.all(np.isfinite(theta)):
-        raise DivergenceError(
-            f"non-finite iterate at step {step}", diverged=[(None, step)]
-        )
-    return ChainState(theta=theta, step=step, stream=state.stream)
-
-
-def mtula_step(state: ChainState, config: SamplerConfig, target: TargetSpec) -> ChainState:
-    """One tamed update with a fresh Gaussian draw from the state's stream."""
-    return _advance(state, config, target, lambda th: tamed_gradient(target, th, config.lam))
-
-
-def ula_step(state: ChainState, config: SamplerConfig, target: TargetSpec) -> ChainState:
-    """One untamed Euler update; divergence is an expected outcome for
-    super-linear gradients at large step sizes."""
-    return _advance(state, config, target, target.h)
 
 
 def _run_chain_block(
@@ -227,7 +195,6 @@ def run_chains(
     """
     if config.d != target.d:
         raise ValueError(f"config.d={config.d} does not match target.d={target.d}")
-    algorithm = "mtula" if config.algorithm == "reference" else config.algorithm
     lam_max, _ = constants_mod.step_size_limits_for_target(target)
     if config.lam > lam_max:
         warnings.warn(
@@ -239,7 +206,7 @@ def run_chains(
     indices = np.arange(config.n_chains)
     args = (
         target,
-        algorithm,
+        config.algorithm,
         config.lam,
         config.beta,
         config.theta0,
@@ -288,48 +255,6 @@ def run_chains(
     )
 
 
-def max_step_size(constants) -> tuple[float, float]:
-    """Theoretical step-size ceilings (lam_max, lam_1_max) from a derived
-    constants report."""
-    return float(constants.lambda_max), float(constants.lambda_1_max)
-
-
-def reference_sample(
-    target: TargetSpec,
-    beta: float,
-    d: int,
-    horizon: float,
-    fine_step: float,
-    stream: RngStream,
-    exact_gaussian: bool = False,
-) -> np.ndarray:
-    """One draw from a fine-step stand-in for the exact Langevin flow.
-
-    Runs the tamed chain at ``fine_step`` from the origin to ``horizon``;
-    its bias is O(fine_step), an order below the coarse chains under
-    test.  For the Gaussian target ``exact_gaussian=True`` instead draws
-    N(0, I/beta) directly (unbiased anchor).
-    """
-    if exact_gaussian:
-        if target.name != "gaussian":
-            raise ValueError("exact draws are only available for the gaussian target")
-        return stream.normal(d) / math.sqrt(beta)
-    lam_max, _ = constants_mod.step_size_limits_for_target(target)
-    if fine_step > lam_max / 10.0:
-        warnings.warn(
-            f"fine_step {fine_step:g} exceeds lam_max/10 = {lam_max / 10.0:g}; "
-            "reference bias may not be an order below the chains under test",
-            stacklevel=2,
-        )
-    config = SamplerConfig(
-        lam=fine_step, beta=beta, d=d, n_chains=1, horizon=horizon, master_seed=0
-    )
-    state = ChainState(theta=np.zeros(d), step=0, stream=stream)
-    for _ in range(config.n_steps):
-        state = mtula_step(state, config, target)
-    return state.theta
-
-
 def reference_measure(
     target: TargetSpec,
     beta: float,
@@ -341,8 +266,9 @@ def reference_measure(
     exact_gaussian: bool = False,
     n_workers: int = 1,
 ) -> EmpiricalMeasure:
-    """n_draws independent reference draws (one fine-step chain each, or
-    exact Gaussian draws when requested)."""
+    """n_draws independent reference draws: the tamed chain run from the
+    origin at ``fine_step`` (bias O(fine_step), an order below the coarse
+    chains under test), or exact N(0, I/beta) draws when requested."""
     if exact_gaussian:
         if target.name != "gaussian":
             raise ValueError("exact draws are only available for the gaussian target")
@@ -366,7 +292,6 @@ def reference_measure(
         n_chains=n_draws,
         horizon=horizon,
         master_seed=master_seed,
-        algorithm="reference",
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # fine step is below lam_max by design

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tamedlmc import cli
 from tamedlmc.cli import main
 
 
@@ -153,6 +155,26 @@ class TestHistogram:
         assert run(["histogram", "--in", str(bad), "--out", str(tmp_path / "h.csv"),
                     "--target", "gaussian"]) == 2
 
+    def test_double_well_dim_1(self, tmp_path):
+        # the first marginal of the 1-D double-well is the whole law
+        src, out = tmp_path / "dw1.csv", tmp_path / "dw1h.csv"
+        assert run(["sample", "--target", "double-well", "--dim", "1", "--chains", "100",
+                    "--lambda", "0.01", "--horizon", "5", "--seed", "1", "--out", str(src)]) == 0
+        assert run(["histogram", "--in", str(src), "--out", str(out)]) == 0
+        summary = json.loads((tmp_path / "dw1h.summary.json").read_text())
+        assert abs(summary["normalization_check"] - 1.0) <= 1e-10
+
+    def test_beta_other_than_1_exit_2(self, tmp_path, capsys):
+        # the analytic marginals are the beta = 1 laws
+        src, out = tmp_path / "g4.csv", tmp_path / "g4h.csv"
+        assert run(["sample", "--target", "gaussian", "--dim", "2", "--beta", "4",
+                    "--chains", "2000", "--lambda", "0.01", "--horizon", "20", "--seed", "3",
+                    "--out", str(src)]) == 0
+        capsys.readouterr()
+        assert run(["histogram", "--in", str(src), "--out", str(out)]) == 2
+        assert "beta = 4.0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRate:
     def test_analytic_gaussian_slope(self, tmp_path):
@@ -240,6 +262,14 @@ class TestConstants:
     def test_bad_beta(self):
         assert run(["constants", "--target", "gaussian", "--beta", "-1"]) == 2
 
+    def test_rejects_ignored_flags(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["constants", "--target", "double-well", "--preset", "desk"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["constants", "--target", "gaussian", "--config", "cfg.json"])
+        assert exc.value.code == 2
+
 
 class TestCheck:
     def test_all_targets_pass(self, tmp_path):
@@ -263,3 +293,24 @@ class TestCheck:
     def test_bad_override(self):
         assert run(["check", "--target", "gaussian", "--override", "L"]) == 2
         assert run(["check", "--target", "gaussian", "--override", "name=x"]) == 2
+
+    def test_rejects_ignored_flags(self):
+        for flag, value in (("--beta", "7"), ("--preset", "desk"), ("--config", "cfg.json")):
+            with pytest.raises(SystemExit) as exc:
+                run(["check", "--target", "gaussian", "--points", "100", flag, value])
+            assert exc.value.code == 2, flag
+
+
+class TestManifest:
+    def test_version_independent_of_working_directory(self, tmp_path, monkeypatch):
+        # the stamp describes the package, not whatever checkout the CLI runs in
+        versions = []
+        for cwd in (tmp_path, Path(__file__).resolve().parents[1]):
+            monkeypatch.chdir(cwd)
+            cli._version_stamp.cache_clear()
+            out = tmp_path / f"v{len(versions)}.json"
+            assert run(["constants", "--target", "gaussian", "--dim", "2", "--v2-method", "none",
+                        "--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+            versions.append(manifest["version"])
+        assert versions[0] == versions[1]

@@ -4,26 +4,38 @@ import warnings
 import numpy as np
 import pytest
 
-from tamedlmc.numerics import RngStream
-from tamedlmc.potentials import make_double_well, make_gaussian, make_target
+from hypothesis import given, settings, strategies as st
+
+from tamedlmc.potentials import make_double_well, make_gaussian, make_target, row_norm_sq
 from tamedlmc.sampler import (
-    ChainState,
     DivergenceError,
     SamplerConfig,
     estimate_v2_integral,
     gaussian_chain_rho,
     gaussian_chain_std,
     load_measure_csv,
-    max_step_size,
-    mtula_step,
     reference_measure,
-    reference_sample,
     run_chains,
     save_measure_csv,
     tamed_gradient,
-    ula_step,
 )
 from tamedlmc.constants import derive_constants, step_size_limits_for_target
+
+
+def step_alone(target, lam, beta, theta, gen):
+    # one tamed update of a single chain, written out apart from the sampler
+    h = target.h(theta) / np.sqrt(1.0 + lam * row_norm_sq(theta) ** target.r)
+    return theta - lam * h + math.sqrt(2.0 * lam / beta) * gen.standard_normal(theta.size)
+
+
+def chain_alone(target, cfg, i):
+    # chain i of cfg stepped by itself from its own PCG64 stream
+    seq = np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(i,))
+    gen = np.random.Generator(np.random.PCG64(seq))
+    theta = cfg.theta0.copy()
+    for _ in range(cfg.n_steps):
+        theta = step_alone(target, cfg.lam, cfg.beta, theta, gen)
+    return theta
 
 
 def drift_map(target, theta, lam, tamed=True):
@@ -79,15 +91,11 @@ class TestSteps:
 
     def test_two_steps_reproduce(self):
         t = make_gaussian(3)
-        cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=1, horizon=1.0, master_seed=7)
-        runs = []
-        for _ in range(2):
-            st = ChainState(theta=np.zeros(3), step=0, stream=RngStream(7, 0))
-            st = mtula_step(st, cfg, t)
-            st = mtula_step(st, cfg, t)
-            runs.append(st.theta)
+        cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=1, horizon=0.1, master_seed=7)
+        assert cfg.n_steps == 2
+        runs = [run_chains(cfg, t).samples[0] for _ in range(2)]
         assert np.array_equal(runs[0], runs[1])
-        assert st.step == 2
+        assert np.array_equal(runs[0], chain_alone(t, cfg, 0))
 
     def test_ula_matches_mtula_up_to_taming_factor(self):
         # Gaussian target: drifts differ exactly by (1 + lam)^{-1/2}
@@ -113,11 +121,13 @@ class TestSteps:
 
     def test_divergence_signal(self):
         t = make_double_well(2)
-        cfg = SamplerConfig(lam=0.5, beta=1.0, d=2, n_chains=1, horizon=10.0, master_seed=0)
-        st = ChainState(theta=np.array([1e200, 0.0]), step=0, stream=RngStream(0, 0))
-        with pytest.raises(DivergenceError):
-            for _ in range(10):
-                st = ula_step(st, cfg, t)
+        cfg = SamplerConfig(lam=0.5, beta=1.0, d=2, n_chains=1, horizon=10.0, master_seed=0,
+                            theta0=np.array([1e200, 0.0]), algorithm="ula")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(DivergenceError) as exc:
+                run_chains(cfg, t)
+        assert exc.value.diverged == [(0, 1)]
 
 
 class TestRunChains:
@@ -161,10 +171,29 @@ class TestRunChains:
                 warnings.simplefilter("ignore")
                 m = run_chains(cfg, t)
             for i in range(3):
-                st = ChainState(theta=np.zeros(6), step=0, stream=RngStream(21, i))
-                for _ in range(cfg.n_steps):
-                    st = mtula_step(st, cfg, t)
-                assert np.array_equal(st.theta, m.samples[i]), (name, i)
+                assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), (name, i)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(["gaussian", "mixture", "double-well"]),
+        d=st.integers(1, 8),
+        lam=st.floats(1e-3, 0.3),
+        beta=st.floats(0.25, 4.0),
+        n_chains=st.integers(1, 5),
+        n_workers=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_single_chain_stepping_property(self, name, d, lam, beta, n_chains,
+                                                    n_workers, seed):
+        t = make_target(name, d)
+        cfg = SamplerConfig(lam=lam, beta=beta, d=d, n_chains=n_chains,
+                            horizon=10 * lam, master_seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m = run_chains(cfg, t, n_workers=n_workers)
+        assert list(m.chain_ids) == list(range(n_chains))
+        for i in range(n_chains):
+            assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
 
     def test_trace_retention(self):
         t = make_gaussian(2)
@@ -246,17 +275,15 @@ class TestGaussianClosedForm:
 class TestReference:
     def test_exact_gaussian_shortcut(self):
         t = make_gaussian(4)
-        x = reference_sample(t, beta=4.0, d=4, horizon=1.0, fine_step=0.01,
-                             stream=RngStream(0, 0), exact_gaussian=True)
-        assert x.shape == (4,)
         m = reference_measure(t, beta=4.0, d=4, horizon=1.0, fine_step=0.01,
                               master_seed=0, n_draws=20_000, exact_gaussian=True)
+        assert m.samples.shape == (20_000, 4)
         assert np.std(m.samples) == pytest.approx(0.5, abs=0.01)
 
     def test_exact_requires_gaussian(self):
         with pytest.raises(ValueError):
-            reference_sample(make_double_well(2), 1.0, 2, 1.0, 0.001,
-                             RngStream(0, 0), exact_gaussian=True)
+            reference_measure(make_double_well(2), 1.0, 2, 1.0, 0.001,
+                              master_seed=0, n_draws=1, exact_gaussian=True)
 
     def test_fine_step_variance(self):
         # AR(1) stationary std at fine step 1e-3 is 1.00025; the sample std
@@ -268,11 +295,10 @@ class TestReference:
 
     def test_single_draw_matches_chain(self):
         t = make_double_well(2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            x = reference_sample(t, beta=1.0, d=2, horizon=0.5, fine_step=0.01,
-                                 stream=RngStream(5, 0))
-        assert np.all(np.isfinite(x))
+        m = reference_measure(t, beta=1.0, d=2, horizon=0.5, fine_step=0.01,
+                              master_seed=5, n_draws=1)
+        assert m.samples.shape == (1, 2)
+        assert np.all(np.isfinite(m.samples))
 
     def test_mixture_reference_matches_marginal(self):
         # first-component KS of 1e4 fine-step draws against the analytic
@@ -295,10 +321,6 @@ class TestStepSizeLimits:
         assert step_size_limits_for_target(make_gaussian(2)) == (0.125, 0.125)
         assert step_size_limits_for_target(make_double_well(2)) == (1 / 2048, 1 / 2048)
         assert step_size_limits_for_target(make_target("mixture", 4)) == (1 / 512, 1 / 512)
-
-    def test_max_step_size_accessor(self):
-        dc = derive_constants(make_gaussian(2), beta=1.0, d=2)
-        assert max_step_size(dc) == (0.125, 0.125)
 
     def test_warning_above_limit(self):
         t = make_double_well(2)
