@@ -67,18 +67,14 @@ def _version_stamp() -> str:
     return v
 
 
-def _resolve(args, config: dict, preset: dict, name: str, default):
-    explicit = getattr(args, name, None)
-    if explicit is not None:
-        return explicit
-    if name in preset:
-        return preset[name]
-    if name in config:
-        return config[name]
-    return default
+def _load_config(args) -> dict:
+    """The ``--config`` file's settings, keyed by argparse dest.
 
-
-def _load_config(path: str | None) -> dict:
+    Keys are the command's long option names without the dashes
+    (``lambda``, ``ref-fine-step``).  Each value goes through the
+    command's own parser as ``--name=value``, so it is converted and
+    checked exactly like the flag; a JSON ``true`` sets a switch."""
+    path = args.config
     if not path:
         return {}
     try:
@@ -88,16 +84,39 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config file must contain a JSON object")
-    return cfg
+    options = {
+        opt[2:]: action
+        for action in args.parser._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt not in ("--config", "--help")
+    }
+    argv = []
+    for key, value in cfg.items():
+        if key not in options:
+            raise UsageError(
+                f"unknown config key {key!r} in {path}; expected one of {sorted(options)}"
+            )
+        if options[key].nargs == 0:
+            argv += [f"--{key}"] if value else []
+        else:
+            argv.append(f"--{key}={value}")
+    parsed = args.parser.parse_args(argv)
+    return {options[key].dest: getattr(parsed, options[key].dest) for key in cfg}
 
 
-def _preset_for(args) -> dict:
-    name = getattr(args, "preset", None)
-    if name is None:
-        return {}
-    if name not in PRESETS:
-        raise UsageError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    return PRESETS[name]
+def _resolver(args):
+    """res(dest, default): the explicit flag, else the preset's value,
+    else the config file's, else the default."""
+    config = _load_config(args)
+    preset = PRESETS.get(args.preset or config.get("preset"), {})
+
+    def res(name, default):
+        for source in (vars(args), preset, config):
+            if source.get(name) is not None:
+                return source[name]
+        return default
+
+    return res
 
 
 def _check_overwrite(paths, force: bool):
@@ -138,12 +157,7 @@ def _build_target(name: str, dim: int) -> potentials.TargetSpec:
 # --- sample ---
 
 def cmd_sample(args) -> int:
-    config_file = _load_config(args.config)
-    preset = _preset_for(args)
-
-    def res(name, default):
-        return _resolve(args, config_file, preset, name, default)
-
+    res = _resolver(args)
     dim = int(res("dim", DEFAULTS["dim"]))
     lam = res("lam", None)
     if lam is None:
@@ -178,7 +192,7 @@ def cmd_sample(args) -> int:
     )
     out_path = Path(out)
     meta_path = out_path.with_suffix(".meta.json")
-    _check_overwrite([out_path, meta_path], args.force)
+    _check_overwrite([out_path, meta_path], res("force", False))
 
     try:
         with warnings.catch_warnings():
@@ -236,14 +250,12 @@ def cmd_histogram(args) -> int:
         if not lo < hi:
             raise UsageError("--range requires lo < hi")
     else:
-        lo, hi = metrics.marginal_support(density.pdf)
+        lo, hi = density.support
         lo = min(lo, float(first.min()) - 0.5)
         hi = max(hi, float(first.max()) + 0.5)
     hist = metrics.histogram(first, args.bins, (lo, hi))
     analytic = np.asarray(density.pdf(hist.centers), dtype=float)
-
-    cdf = metrics.cdf_from_pdf(density.pdf, *metrics.marginal_support(density.pdf))
-    ks = metrics.ks_statistic(first, cdf)
+    ks = metrics.ks_statistic(first, density.cdf)
 
     out_path = Path(args.out)
     summary_path = out_path.with_suffix(".summary.json")
@@ -279,12 +291,7 @@ def _gaussian_exact_distance(lam: float, beta: float) -> float:
 
 
 def cmd_rate(args) -> int:
-    config_file = _load_config(args.config)
-    preset = _preset_for(args)
-
-    def res(name, default):
-        return _resolve(args, config_file, preset, name, default)
-
+    res = _resolver(args)
     dim = int(res("dim", DEFAULTS["dim"]))
     beta = float(res("beta", DEFAULTS["beta"]))
     chains = int(res("chains", DEFAULTS["chains"]))
@@ -292,22 +299,24 @@ def cmd_rate(args) -> int:
     seed = int(res("seed", DEFAULTS["seed"]))
     workers = int(res("workers", DEFAULTS["workers"]))
     out = res("out", None)
-    metric = args.metric
-    grid = [float(x) for x in args.grid.split(",")] if args.grid else list(DEFAULT_GRID)
+    metric = res("metric", "w1")
+    analytic = res("analytic", False)
+    grid_arg = res("grid", None)
+    grid = [float(x) for x in grid_arg.split(",")] if grid_arg else list(DEFAULT_GRID)
     if any(g <= 0 for g in grid) or len(grid) < 2:
         raise UsageError("--grid needs at least two positive step sizes")
     target = _build_target(res("target", None), dim)
 
     if metric == "gaussian-exact" and target.name != "gaussian":
         raise UsageError("--metric gaussian-exact requires --target gaussian")
-    if args.analytic and (metric != "gaussian-exact" or dim != 1):
+    if analytic and (metric != "gaussian-exact" or dim != 1):
         raise UsageError("--analytic requires --metric gaussian-exact and --dim 1")
 
     distances = []
-    if args.analytic:
+    if analytic:
         distances = [_gaussian_exact_distance(lam, beta) for lam in grid]
     else:
-        ref_draws = args.ref_draws or chains
+        ref_draws = res("ref_draws", chains)
         if target.name == "gaussian":
             reference = sampler.reference_measure(
                 target, beta, dim, horizon=1.0, fine_step=1.0,
@@ -315,8 +324,8 @@ def cmd_rate(args) -> int:
             )
         else:
             lam_max, _ = constants_mod.step_size_limits_for_target(target)
-            fine = args.ref_fine_step or lam_max / 10.0
-            ref_horizon = args.ref_horizon or min(horizon, 50.0)
+            fine = res("ref_fine_step", lam_max / 10.0)
+            ref_horizon = res("ref_horizon", min(horizon, 50.0))
             reference = sampler.reference_measure(
                 target, beta, dim, horizon=ref_horizon, fine_step=fine,
                 master_seed=seed + 10_000, n_draws=ref_draws, n_workers=workers,
@@ -341,7 +350,7 @@ def cmd_rate(args) -> int:
             else:
                 p = 1 if metric == "sw1" else 2
                 dist = metrics.sliced_wasserstein(
-                    a, b, p=p, n_proj=args.n_proj,
+                    a, b, p=p, n_proj=res("n_proj", 256),
                     stream=RngStream(seed + 20_000, 0),
                 )
             distances.append(dist)
@@ -350,7 +359,7 @@ def cmd_rate(args) -> int:
     out_path = Path(out) if out else None
     if out_path is not None:
         fit_path = out_path.with_suffix(".fit.json")
-        _check_overwrite([out_path, fit_path], args.force)
+        _check_overwrite([out_path, fit_path], res("force", False))
         lines = ["lambda,distance,metric"]
         for lam, dist in zip(grid, distances):
             lines.append(f"{repr(float(lam))},{repr(float(dist))},{metric}")
@@ -358,7 +367,7 @@ def cmd_rate(args) -> int:
         resolved = {
             "target": target.name, "dim": dim, "beta": beta, "chains": chains,
             "horizon": horizon, "seed": seed, "metric": metric, "grid": grid,
-            "analytic": bool(args.analytic), "out": str(out_path),
+            "analytic": bool(analytic), "out": str(out_path),
         }
         manifest_path = _write_manifest(out_path, "rate", resolved, [out_path, fit_path])
         payload = fit.to_dict()
@@ -493,11 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
-        p.add_argument("--force", action="store_true")
+        p.add_argument("--force", action="store_true", default=None)
 
     def configurable(p):
         p.add_argument("--config", help="JSON config file (explicit flags win)")
         p.add_argument("--preset", choices=sorted(PRESETS))
+        p.set_defaults(parser=p)
 
     p = sub.add_parser("sample", help="run chains and write final iterates as CSV")
     shared(p)
@@ -524,18 +534,17 @@ def build_parser() -> argparse.ArgumentParser:
     shared(p)
     p.add_argument("--beta", type=float)
     configurable(p)
-    p.add_argument("--metric", choices=("w1", "w2", "sw1", "sw2", "gaussian-exact"),
-                   default="w1")
+    p.add_argument("--metric", choices=("w1", "w2", "sw1", "sw2", "gaussian-exact"))
     p.add_argument("--grid", help="comma-separated step sizes")
     p.add_argument("--chains", type=int)
     p.add_argument("--horizon", type=float)
     p.add_argument("--workers", type=int)
-    p.add_argument("--analytic", action="store_true",
+    p.add_argument("--analytic", action="store_true", default=None,
                    help="closed-form distances (gaussian-exact, dim 1)")
     p.add_argument("--ref-draws", type=int)
     p.add_argument("--ref-fine-step", type=float)
     p.add_argument("--ref-horizon", type=float)
-    p.add_argument("--n-proj", type=int, default=256)
+    p.add_argument("--n-proj", type=int)
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("constants", help="derived-constants JSON report")

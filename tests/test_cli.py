@@ -123,6 +123,34 @@ class TestSample:
         ]) == 0
         assert out3.read_text().splitlines()[0].count(",") == 20
 
+    def test_config_keys_are_long_option_names(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"lambda": 0.01, "target": "gaussian", "dim": 2, "chains": 10, "horizon": 1}))
+        out = tmp_path / "cfg.csv"
+        assert run(["sample", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 11
+        manifest = json.loads((tmp_path / "cfg.csv.manifest.json").read_text())
+        assert manifest["resolved_config"]["lambda"] == 0.01
+        # a JSON true sets a switch
+        assert run(["sample", "--config", str(cfg), "--out", str(out)]) == 2
+        cfg.write_text(json.dumps({"lambda": 0.01, "target": "gaussian", "dim": 2,
+                                   "chains": 4, "horizon": 1, "force": True}))
+        assert run(["sample", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 5
+
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lam": 0.01, "target": "gaussian", "dim": 2}))
+        assert run(["sample", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "'lam'" in capsys.readouterr().err
+        # a value is checked like the flag it stands for
+        cfg.write_text(json.dumps({"lambda": 0.01, "target": "gaussian", "algorithm": "mala"}))
+        with pytest.raises(SystemExit) as exc:
+            run(["sample", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestHistogram:
     def make_samples(self, tmp_path, target="gaussian", dim=2):
@@ -210,6 +238,20 @@ class TestRate:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 4
         assert all(line.endswith(",sw2") for line in lines[1:])
+
+    def test_config_sets_rate_options(self, tmp_path):
+        cfg = tmp_path / "rate.json"
+        cfg.write_text(json.dumps({
+            "target": "gaussian", "dim": 1, "metric": "gaussian-exact",
+            "analytic": True, "grid": "0.2,0.1",
+        }))
+        out = tmp_path / "rate.csv"
+        assert run(["rate", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 3
+        assert all(line.endswith(",gaussian-exact") for line in lines[1:])
+        manifest = json.loads((tmp_path / "rate.csv.manifest.json").read_text())
+        assert manifest["resolved_config"]["analytic"] is True
 
     def test_analytic_needs_dim_1(self, tmp_path):
         assert run([

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tamedlmc.numerics import RngStream, normal_cdf
 from tamedlmc.metrics import (
@@ -63,6 +64,16 @@ class TestWasserstein1D:
             assert wasserstein_1d(xs, ys, p) == pytest.approx(
                 brute_force_w1d(xs, ys, p), rel=1e-12
             ), i
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda n: st.tuples(*2 * [st.lists(
+            st.floats(-100.0, 100.0, allow_nan=False), min_size=n, max_size=n)])),
+        st.sampled_from([1, 2]),
+    )
+    def test_matches_brute_force_property(self, samples, p):
+        xs, ys = samples
+        assert wasserstein_1d(xs, ys, p) == pytest.approx(brute_force_w1d(xs, ys, p), rel=1e-12)
 
     def test_metric_properties(self):
         rng = np.random.default_rng(4)
