@@ -126,17 +126,14 @@ def _check_overwrite(paths, force: bool):
 
 
 def _write_manifest(out_path: Path, command: str, resolved: dict, outputs):
-    manifest = {
+    path = out_path.with_suffix(out_path.suffix + ".manifest.json")
+    _write_json(path, {
         "command": command,
         "resolved_config": resolved,
         "version": _version_stamp(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [str(o) for o in outputs],
-    }
-    path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return path
 
 
@@ -149,9 +146,7 @@ def _write_json(path, payload):
 def _build_target(name: str, dim: int) -> potentials.TargetSpec:
     if name is None:
         raise UsageError("--target is required")
-    if name not in potentials.TARGET_NAMES:
-        raise UsageError(f"unknown target {name!r}; expected one of {potentials.TARGET_NAMES}")
-    return potentials.make_target(name, dim)
+    return potentials.make_target(name, dim)  # an unknown name: ValueError, exit 2
 
 
 # --- sample ---
@@ -307,29 +302,36 @@ def cmd_rate(args) -> int:
         raise UsageError("--grid needs at least two positive step sizes")
     target = _build_target(res("target", None), dim)
 
-    if metric == "gaussian-exact" and target.name != "gaussian":
-        raise UsageError("--metric gaussian-exact requires --target gaussian")
+    if metric == "gaussian-exact" and target.exact_draw is None:
+        raise UsageError("--metric gaussian-exact requires a target drawn exactly (gaussian)")
     if analytic and (metric != "gaussian-exact" or dim != 1):
         raise UsageError("--analytic requires --metric gaussian-exact and --dim 1")
+    # a reference option that cannot shape the reference is refused, not ignored
+    unused, why = (), ""
+    if analytic:
+        unused, why = ("ref_draws", "ref_fine_step", "ref_horizon"), "--analytic uses no reference"
+    elif target.exact_draw is not None:
+        unused, why = ("ref_fine_step", "ref_horizon"), f"the {target.name} reference is exact"
+    given = ["--" + dest.replace("_", "-") for dest in unused if res(dest, None) is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)} cannot apply: {why}")
 
     distances = []
+    ref_draws = fine = ref_horizon = n_proj = None
     if analytic:
         distances = [_gaussian_exact_distance(lam, beta) for lam in grid]
     else:
         ref_draws = res("ref_draws", chains)
-        if target.name == "gaussian":
-            reference = sampler.reference_measure(
-                target, beta, dim, horizon=1.0, fine_step=1.0,
-                master_seed=seed + 10_000, n_draws=ref_draws, exact_gaussian=True,
-            )
-        else:
+        if target.exact_draw is None:
             lam_max, _ = constants_mod.step_size_limits_for_target(target)
             fine = res("ref_fine_step", lam_max / 10.0)
             ref_horizon = res("ref_horizon", min(horizon, 50.0))
-            reference = sampler.reference_measure(
-                target, beta, dim, horizon=ref_horizon, fine_step=fine,
-                master_seed=seed + 10_000, n_draws=ref_draws, n_workers=workers,
-            )
+        if metric in ("sw1", "sw2"):
+            n_proj = res("n_proj", 256)
+        reference = sampler.reference_measure(
+            target, beta, master_seed=seed + 10_000, n_draws=ref_draws,
+            horizon=ref_horizon, fine_step=fine, n_workers=workers,
+        )
         for lam in grid:
             cfg = sampler.SamplerConfig(
                 lam=lam, beta=beta, d=dim, n_chains=chains, horizon=horizon,
@@ -350,8 +352,7 @@ def cmd_rate(args) -> int:
             else:
                 p = 1 if metric == "sw1" else 2
                 dist = metrics.sliced_wasserstein(
-                    a, b, p=p, n_proj=res("n_proj", 256),
-                    stream=RngStream(seed + 20_000, 0),
+                    a, b, p=p, n_proj=n_proj, stream=RngStream(seed + 20_000, 0),
                 )
             distances.append(dist)
 
@@ -367,7 +368,9 @@ def cmd_rate(args) -> int:
         resolved = {
             "target": target.name, "dim": dim, "beta": beta, "chains": chains,
             "horizon": horizon, "seed": seed, "metric": metric, "grid": grid,
-            "analytic": bool(analytic), "out": str(out_path),
+            "analytic": bool(analytic), "workers": workers, "ref_draws": ref_draws,
+            "ref_fine_step": fine, "ref_horizon": ref_horizon, "n_proj": n_proj,
+            "out": str(out_path),
         }
         manifest_path = _write_manifest(out_path, "rate", resolved, [out_path, fit_path])
         payload = fit.to_dict()
@@ -387,12 +390,13 @@ def cmd_constants(args) -> int:
     target = _build_target(args.target, dim)
     p_list = [int(x) for x in args.p_list.split(",")] if args.p_list else None
 
+    seed = args.seed or 0
     v2 = v2_err = None
     if args.v2_method != "none":
         v2, v2_err = sampler.estimate_v2_integral(
-            target, beta, dim,
+            target, beta,
             method="mc" if args.v2_method == "mc" else "auto",
-            n_draws=args.v2_draws, master_seed=args.seed or 0,
+            n_draws=args.v2_draws, master_seed=seed,
         )
     dc = constants_mod.derive_constants(
         target, beta, dim, p_list=p_list, v2_integral=v2, v2_stderr=v2_err,
@@ -404,7 +408,8 @@ def cmd_constants(args) -> int:
         manifest_path = _write_manifest(
             out_path, "constants",
             {"target": target.name, "dim": dim, "beta": beta, "p_list": p_list,
-             "v2_method": args.v2_method, "out": str(out_path)},
+             "v2_method": args.v2_method, "v2_draws": args.v2_draws, "seed": seed,
+             "out": str(out_path)},
             [out_path],
         )
         report["manifest"] = str(manifest_path)

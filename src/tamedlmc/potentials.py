@@ -7,22 +7,23 @@ symmetric two-component Gaussian mixture, and the double-well potential
 (the canonical non-convex target whose gradient grows cubically).
 
 ``U`` and ``h`` accept points of shape (d,) or batches (..., d); ``hess``
-takes a single point and returns a (d, d) matrix.
+takes a single point and returns a (d, d) matrix.  A built-in target also
+carries what is known of its law: first marginal, second moment, exact draw.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import expit
 
 from . import metrics
 from .numerics import RngStream, log_gamma, integrate_semi_infinite, normal_cdf
-
-TARGET_NAMES = ("gaussian", "mixture", "double-well")
 
 
 def row_norm_sq(theta: np.ndarray) -> np.ndarray:
@@ -59,7 +60,10 @@ class TargetSpec:
     r_bar: float | None = None
     a_tilde: float | None = None
     b_tilde: float | None = None
-    extra_params: dict = field(default_factory=dict)
+    # facts about the law, None where unknown (a hand-built target)
+    marginal: Callable | None = None  # first-coordinate density at beta = 1
+    second_moment: Callable | None = None  # beta -> E_pi |theta|^2
+    exact_draw: Callable | None = None  # (stream, n, beta) -> (n, d) draws
 
     def __post_init__(self):
         if self.d < 1:
@@ -95,6 +99,15 @@ def _gaussian_hess(theta, d):
     return np.eye(d)
 
 
+def _gaussian_second_moment(beta, d):
+    return d / beta
+
+
+def _gaussian_draw(stream, n, beta, d):
+    # N(0, I / beta)
+    return stream.normal((n, d)) / math.sqrt(beta)
+
+
 def _mixture_u(theta, a_dot):
     theta = np.asarray(theta, dtype=float)
     diff = theta - a_dot
@@ -119,6 +132,21 @@ def _mixture_hess(theta, a_dot):
     return np.eye(a_dot.size) - s * np.outer(a_dot, a_dot)
 
 
+def _mixture_second_moment(beta, d, a_norm):
+    # split theta into the component along a_dot (1-D law below) and the
+    # (d-1)-dimensional Gaussian complement
+    def g(u):
+        return np.exp(
+            -0.5 * beta * (u - a_norm) ** 2 + beta * np.logaddexp(0.0, -2.0 * a_norm * u)
+        )
+
+    lo, hi = -a_norm - 40.0 / math.sqrt(beta), a_norm + 40.0 / math.sqrt(beta)
+    pts = [-a_norm, 0.0, a_norm]
+    z, _ = quad(g, lo, hi, points=pts, limit=200)
+    m2, _ = quad(lambda u: u * u * g(u), lo, hi, points=pts, limit=200)
+    return m2 / z + (d - 1) / beta
+
+
 def _double_well_u(theta):
     theta = np.asarray(theta, dtype=float)
     sq = row_norm_sq(theta)
@@ -137,6 +165,18 @@ def _double_well_hess(theta):
     return (sq - 1.0) * np.eye(theta.size) + 2.0 * np.outer(theta, theta)
 
 
+def _double_well_second_moment(beta, d):
+    # E|theta|^2 from the radial law rho^{d-1} exp{-beta(rho^4/4 - rho^2/2)}
+    def log_radial(extra):
+        def log_f(rho):
+            return (d - 1 + extra) * np.log(rho) - beta * (0.25 * rho**4 - 0.5 * rho**2)
+
+        hint = math.sqrt((beta + math.sqrt(beta**2 + 4.0 * beta * (d - 1 + extra))) / (2.0 * beta))
+        return _log_integral_peaked(log_f, hint)
+
+    return float(np.exp(log_radial(2) - log_radial(0)))
+
+
 def make_gaussian(d: int) -> TargetSpec:
     """Isotropic standard Gaussian target: U = |theta|^2 / 2."""
     return TargetSpec(
@@ -152,17 +192,21 @@ def make_gaussian(d: int) -> TargetSpec:
         a_tilde=1.0,
         b_tilde=1.0,
         L_grad=1.0,
+        marginal=_gaussian_marginal_pdf,
+        second_moment=functools.partial(_gaussian_second_moment, d=d),
+        exact_draw=functools.partial(_gaussian_draw, d=d),
     )
 
 
-def make_gaussian_mixture(d: int, a_dot: np.ndarray) -> TargetSpec:
-    """Symmetric two-component Gaussian mixture with modes at +/- a_dot.
+def make_gaussian_mixture(d: int, a_dot: np.ndarray | None = None) -> TargetSpec:
+    """Symmetric two-component Gaussian mixture with modes at +/- a_dot
+    (default: ``default_mixture_center(d)``).
 
     U = |theta - a_dot|^2 / 2 - log(1 + exp(-2 <a_dot, theta>)); the
     logistic term is evaluated through expit/logaddexp so the gradient
     stays finite for arbitrarily large |<a_dot, theta>|.
     """
-    a_dot = np.asarray(a_dot, dtype=float)
+    a_dot = np.asarray(default_mixture_center(d) if a_dot is None else a_dot, dtype=float)
     if a_dot.shape != (d,):
         raise ValueError(f"a_dot must have shape ({d},)")
     norm_a = float(np.linalg.norm(a_dot))
@@ -179,7 +223,8 @@ def make_gaussian_mixture(d: int, a_dot: np.ndarray) -> TargetSpec:
         a_tilde=0.5,
         b_tilde=2.0,
         L_grad=8.0 * norm_a**3,
-        extra_params={"a_dot": a_dot},
+        marginal=functools.partial(_mixture_marginal_pdf, a1=float(a_dot[0])),
+        second_moment=functools.partial(_mixture_second_moment, d=d, a_norm=norm_a),
     )
 
 
@@ -203,6 +248,8 @@ def make_double_well(d: int) -> TargetSpec:
         b=1.0,
         r_bar=0.0,
         L_grad=3.0,
+        marginal=functools.partial(_double_well_marginal_pdf, d=d),
+        second_moment=functools.partial(_double_well_second_moment, d=d),
     )
 
 
@@ -211,15 +258,19 @@ def default_mixture_center(d: int) -> np.ndarray:
     return np.full(d, 2.0 / np.sqrt(d))
 
 
-def make_target(name: str, d: int, a_dot: np.ndarray | None = None) -> TargetSpec:
+_CONSTRUCTORS = {
+    "gaussian": make_gaussian,
+    "mixture": make_gaussian_mixture,
+    "double-well": make_double_well,
+}
+TARGET_NAMES = tuple(_CONSTRUCTORS)
+
+
+def make_target(name: str, d: int) -> TargetSpec:
     """Build one of the built-in targets by name."""
-    if name == "gaussian":
-        return make_gaussian(d)
-    if name == "mixture":
-        return make_gaussian_mixture(d, default_mixture_center(d) if a_dot is None else a_dot)
-    if name == "double-well":
-        return make_double_well(d)
-    raise ValueError(f"unknown target {name!r}; expected one of {TARGET_NAMES}")
+    if name not in _CONSTRUCTORS:
+        raise ValueError(f"unknown target {name!r}; expected one of {TARGET_NAMES}")
+    return _CONSTRUCTORS[name](d)
 
 
 def override_constants(target: TargetSpec, **overrides) -> TargetSpec:
@@ -235,10 +286,10 @@ def override_constants(target: TargetSpec, **overrides) -> TargetSpec:
 
 @dataclass
 class MarginalDensity:
-    """Analytic density of the first coordinate under the target law at
-    unit inverse temperature, with its support (where the density exceeds
-    1e-10), its CDF tabulated over that support, and the mass that
-    tabulation integrates to (the normalization check)."""
+    """The target's first marginal (``TargetSpec.marginal``), with its
+    support (where the density exceeds 1e-10), its CDF tabulated over
+    that support, and the mass that tabulation integrates to (the
+    normalization check)."""
 
     target: TargetSpec
     pdf: Callable
@@ -340,6 +391,7 @@ def _double_well_log_numerators(d: int, x2: np.ndarray) -> np.ndarray:
     return log_peak + np.log(2.0 * half * (np.exp(rel) @ weights))
 
 
+@functools.cache
 def _double_well_log_denominator(d: int) -> float:
     # log of \int_0^inf r^{d/2 - 1} exp{-r^2/4 + r/2} dr with r = s^2
     def log_f(s):
@@ -349,27 +401,21 @@ def _double_well_log_denominator(d: int) -> float:
     return _log_integral_peaked(log_f, hint)
 
 
-def _double_well_marginal_pdf(d: int):
+def _double_well_marginal_pdf(x, d: int):
+    # the normalizer is computed on the first call for each d, then cached
+    x = np.asarray(x, dtype=float)
     log_den = _double_well_log_denominator(d)
     if d == 1:
         # the first marginal is the whole law exp(-U(x)) / Z
-        def pdf_1d(x):
-            return np.exp(-_double_well_u(np.asarray(x, dtype=float)[..., None]) - log_den)
-
-        return pdf_1d
+        return np.exp(-_double_well_u(x[..., None]) - log_den)
     log_scale = log_gamma(d / 2.0) - log_gamma((d - 1.0) / 2.0) - 0.5 * np.log(np.pi) - log_den
-
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        x2 = np.ravel(x * x)
-        log_num = np.empty(x2.size)
-        for i in range(0, x2.size, _MARGINAL_BLOCK):
-            block = slice(i, i + _MARGINAL_BLOCK)
-            log_num[block] = _double_well_log_numerators(d, x2[block])
-        out = np.exp(log_scale + log_num).reshape(x.shape)
-        return out if out.ndim else float(out)
-
-    return pdf
+    x2 = np.ravel(x * x)
+    log_num = np.empty(x2.size)
+    for i in range(0, x2.size, _MARGINAL_BLOCK):
+        block = slice(i, i + _MARGINAL_BLOCK)
+        log_num[block] = _double_well_log_numerators(d, x2[block])
+    out = np.exp(log_scale + log_num).reshape(x.shape)
+    return out if out.ndim else float(out)
 
 
 def _gaussian_marginal_pdf(x):
@@ -385,15 +431,9 @@ def _mixture_marginal_pdf(x, a1):
 
 
 def marginal_pdf(target: TargetSpec) -> MarginalDensity:
-    """Analytic first-component marginal of a built-in target (beta = 1)."""
-    if target.name == "gaussian":
-        pdf = _gaussian_marginal_pdf
-    elif target.name == "mixture":
-        a1 = float(target.extra_params["a_dot"][0])
-        pdf = functools.partial(_mixture_marginal_pdf, a1=a1)
-    elif target.name == "double-well":
-        pdf = _double_well_marginal_pdf(target.d)
-    else:
+    """The target's analytic first-component marginal (beta = 1), tabulated."""
+    pdf = target.marginal
+    if pdf is None:
         raise ValueError(f"no analytic marginal for target {target.name!r}")
     support = metrics.marginal_support(pdf)
     cdf = metrics.cdf_from_pdf(pdf, *support)
@@ -422,7 +462,8 @@ class CheckReport:
             "target": self.target,
             "assumption": self.assumption,
             "points": self.points,
-            "violations": self.violations,
+            "n_violations": len(self.violations),
+            "violations": self.violations[:10],  # n_violations counts them all
         }
 
 
@@ -434,6 +475,8 @@ def _uniform_in_ball(stream: RngStream, d: int, radius: float, n: int) -> np.nda
     """n points uniform in the centered radius-ball, derived purely from
     Gaussian draws (direction from a normalized draw, radius through the
     probability transform of one more coordinate)."""
+    if n < 1:
+        raise ValueError("n_points must be >= 1")
     g = stream.normal((n, d + 1))
     dirs = g[:, :d]
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -461,8 +504,6 @@ def check_assumption_2(
 ) -> CheckReport:
     """Sampled check of the polynomial Lipschitz and growth bounds on h:
     |h(x)-h(y)| <= L (1+|x|+|y|)^r |x-y| and |h(x)| <= K (1+|x|^{r+1})."""
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
     xs = _uniform_in_ball(stream, target.d, radius, n_points)
     ys = _uniform_in_ball(stream, target.d, radius, n_points)
     hx = np.atleast_2d(target.h(xs))
@@ -489,8 +530,6 @@ def check_assumption_3(
 ) -> CheckReport:
     """Sampled check of convexity at infinity (r > 0) or dissipativity
     (r = 0)."""
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
     xs = _uniform_in_ball(stream, target.d, radius, n_points)
     violations = []
     if target.r > 0:
@@ -540,8 +579,6 @@ def check_assumption_4(
 ) -> CheckReport:
     """Sampled check of the Hessian Lipschitz bound
     |H(x) - H(y)| <= L_grad (1+|x|+|y|)^nu |x-y| in operator norm."""
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
     xs = _uniform_in_ball(stream, target.d, radius, n_points)
     ys = _uniform_in_ball(stream, target.d, radius, n_points)
     violations = []

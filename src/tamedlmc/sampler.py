@@ -1,5 +1,5 @@
-"""The Langevin chain: one vectorized kernel, tamed or untamed; fine-step
-reference draws built on it.
+"""The Langevin chain: one vectorized kernel, tamed or untamed; reference
+draws of the target law, exact or by a fine-step chain built on it.
 
 The update rule is
 
@@ -258,41 +258,28 @@ def run_chains(
 def reference_measure(
     target: TargetSpec,
     beta: float,
-    d: int,
-    horizon: float,
-    fine_step: float,
+    *,
     master_seed: int,
     n_draws: int,
-    exact_gaussian: bool = False,
+    horizon: float | None = None,
+    fine_step: float | None = None,
     n_workers: int = 1,
 ) -> EmpiricalMeasure:
-    """n_draws independent reference draws: the tamed chain run from the
-    origin at ``fine_step`` (bias O(fine_step), an order below the coarse
-    chains under test), or exact N(0, I/beta) draws when requested."""
-    if exact_gaussian:
-        if target.name != "gaussian":
-            raise ValueError("exact draws are only available for the gaussian target")
-        samples = RngStream(master_seed, 0).normal((n_draws, d)) / math.sqrt(beta)
-        meta = {
-            "target": target.name,
-            "algorithm": "exact",
-            "lambda": 0.0,
-            "beta": beta,
-            "d": d,
-            "horizon": 0.0,
-            "seed": master_seed,
-            "n_chains": n_draws,
-            "diverged_chains": [],
-        }
+    """n_draws independent draws of the target law at ``beta``: exact when
+    the target has an exact draw (``horizon`` and ``fine_step`` are then
+    unused), else the tamed chain run from the origin at ``fine_step`` for
+    ``horizon`` (bias O(fine_step), an order below the coarse chains under
+    test)."""
+    if target.exact_draw is not None:
+        samples = target.exact_draw(RngStream(master_seed, 0), n_draws, beta)
+        meta = {"target": target.name, "algorithm": "exact", "lambda": 0.0, "beta": beta,
+                "d": target.d, "horizon": 0.0, "seed": master_seed, "n_chains": n_draws,
+                "diverged_chains": []}
         return EmpiricalMeasure(samples=samples, meta=meta, chain_ids=np.arange(n_draws))
-    config = SamplerConfig(
-        lam=fine_step,
-        beta=beta,
-        d=d,
-        n_chains=n_draws,
-        horizon=horizon,
-        master_seed=master_seed,
-    )
+    if horizon is None or fine_step is None:
+        raise ValueError(f"target {target.name!r} has no exact draw: give horizon and fine_step")
+    config = SamplerConfig(lam=fine_step, beta=beta, d=target.d, n_chains=n_draws,
+                           horizon=horizon, master_seed=master_seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # fine step is below lam_max by design
         return run_chains(config, target, n_workers=n_workers)
@@ -320,7 +307,6 @@ def gaussian_chain_std(lam: float, beta: float = 1.0, n_steps: int | None = None
 def estimate_v2_integral(
     target: TargetSpec,
     beta: float,
-    d: int,
     method: str = "auto",
     n_draws: int = 100_000,
     horizon: float = 20.0,
@@ -328,62 +314,27 @@ def estimate_v2_integral(
     master_seed: int = 0,
 ) -> tuple[float, float]:
     """Integral of (1 + |theta|^2) under the target law, with a standard
-    error (zero for the analytic/quadrature routes).
+    error (zero for the closed form).
 
-    auto: analytic for the Gaussian, radial/axial quadrature otherwise.
-    mc: Monte Carlo over fine-step reference draws.
+    auto: the target's closed-form second moment, else Monte Carlo.
+    quadrature: the closed form only.
+    mc: Monte Carlo over ``reference_measure`` draws (a fine-step chain
+    at lam_max / 10 unless ``fine_step`` is given, or exact draws).
     """
     if method not in ("auto", "quadrature", "mc"):
         raise ValueError("method must be auto, quadrature, or mc")
-    if method in ("auto", "quadrature"):
-        if target.name == "gaussian":
-            return 1.0 + d / beta, 0.0
-        if target.name == "double-well":
-            return 1.0 + _double_well_second_moment(beta, d), 0.0
-        if target.name == "mixture":
-            a_norm = float(np.linalg.norm(target.extra_params["a_dot"]))
-            return 1.0 + _mixture_second_moment(beta, d, a_norm), 0.0
-        if method == "quadrature":
-            raise ValueError(f"no quadrature route for target {target.name!r}")
-    lam_max, _ = constants_mod.step_size_limits_for_target(target)
-    step = fine_step if fine_step is not None else lam_max / 10.0
+    if method != "mc" and target.second_moment is not None:
+        return 1.0 + target.second_moment(beta), 0.0
+    if method == "quadrature":
+        raise ValueError(f"no closed-form second moment for target {target.name!r}")
+    if fine_step is None:
+        fine_step = constants_mod.step_size_limits_for_target(target)[0] / 10.0
     measure = reference_measure(
-        target, beta, d, horizon=horizon, fine_step=step,
-        master_seed=master_seed, n_draws=n_draws,
+        target, beta, master_seed=master_seed, n_draws=n_draws,
+        horizon=horizon, fine_step=fine_step,
     )
     v2 = 1.0 + np.sum(measure.samples**2, axis=1)
     return float(np.mean(v2)), float(np.std(v2, ddof=1) / math.sqrt(v2.size))
-
-
-def _double_well_second_moment(beta: float, d: int) -> float:
-    # E|theta|^2 from the radial law rho^{d-1} exp{-beta(rho^4/4 - rho^2/2)}
-    from .potentials import _log_integral_peaked
-
-    def log_radial(extra):
-        def log_f(rho):
-            return (d - 1 + extra) * np.log(rho) - beta * (0.25 * rho**4 - 0.5 * rho**2)
-
-        hint = math.sqrt((beta + math.sqrt(beta**2 + 4.0 * beta * (d - 1 + extra))) / (2.0 * beta))
-        return _log_integral_peaked(log_f, hint)
-
-    return float(np.exp(log_radial(2) - log_radial(0)))
-
-
-def _mixture_second_moment(beta: float, d: int, a_norm: float) -> float:
-    # split theta into the component along a_dot (1-D law below) and the
-    # (d-1)-dimensional Gaussian complement
-    from scipy.integrate import quad
-
-    def g(u):
-        return np.exp(
-            -0.5 * beta * (u - a_norm) ** 2 + beta * np.logaddexp(0.0, -2.0 * a_norm * u)
-        )
-
-    lo, hi = -a_norm - 40.0 / math.sqrt(beta), a_norm + 40.0 / math.sqrt(beta)
-    pts = [-a_norm, 0.0, a_norm]
-    z, _ = quad(g, lo, hi, points=pts, limit=200)
-    m2, _ = quad(lambda u: u * u * g(u), lo, hi, points=pts, limit=200)
-    return m2 / z + (d - 1) / beta
 
 
 # --- CSV / JSON serialization ---

@@ -155,7 +155,7 @@ def test_criterion_05_double_well_bias_decreases():
     n = 10_000
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ref = reference_measure(t, 1.0, 2, horizon=15.0, fine_step=1e-4,
+        ref = reference_measure(t, 1.0, horizon=15.0, fine_step=1e-4,
                                 master_seed=777, n_draws=n, n_workers=2)
         dists = []
         for lam in grid:

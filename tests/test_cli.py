@@ -6,6 +6,15 @@ import pytest
 
 from tamedlmc import cli
 from tamedlmc.cli import main
+from tamedlmc.constants import step_size_limits_for_target
+from tamedlmc.numerics import RngStream
+from tamedlmc.potentials import (
+    check_assumption_2,
+    make_double_well,
+    make_gaussian,
+    override_constants,
+)
+from tamedlmc.sampler import estimate_v2_integral
 
 
 def run(argv):
@@ -253,6 +262,46 @@ class TestRate:
         manifest = json.loads((tmp_path / "rate.csv.manifest.json").read_text())
         assert manifest["resolved_config"]["analytic"] is True
 
+    def test_manifest_records_reference_options(self, tmp_path):
+        # defaults applied: the chain reference's lambda_max / 10 fine step
+        out = tmp_path / "dw.csv"
+        assert run([
+            "rate", "--target", "double-well", "--dim", "1", "--metric", "w1",
+            "--chains", "40", "--horizon", "0.5", "--grid", "0.1,0.05",
+            "--ref-horizon", "0.2", "--seed", "1", "--out", str(out),
+        ]) == 0
+        cfg = json.loads((tmp_path / "dw.csv.manifest.json").read_text())["resolved_config"]
+        lam_max, _ = step_size_limits_for_target(make_double_well(1))
+        assert cfg["ref_fine_step"] == lam_max / 10.0
+        assert (cfg["ref_horizon"], cfg["ref_draws"], cfg["workers"]) == (0.2, 40, 1)
+        # an exact reference has no fine step or horizon; n_proj shapes sw1
+        out = tmp_path / "g.csv"
+        assert run([
+            "rate", "--target", "gaussian", "--dim", "2", "--metric", "sw1",
+            "--chains", "50", "--horizon", "1", "--grid", "0.1,0.05", "--ref-draws", "50",
+            "--n-proj", "8", "--seed", "1", "--out", str(out),
+        ]) == 0
+        cfg = json.loads((tmp_path / "g.csv.manifest.json").read_text())["resolved_config"]
+        assert (cfg["ref_draws"], cfg["n_proj"]) == (50, 8)
+        assert cfg["ref_fine_step"] is None and cfg["ref_horizon"] is None
+
+    def test_refuses_reference_options_it_cannot_honour(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        base = ["rate", "--target", "gaussian", "--dim", "1", "--grid", "0.1,0.05",
+                "--out", str(out)]
+        sampled = base + ["--metric", "w1", "--chains", "50", "--horizon", "1"]
+        assert run(sampled + ["--ref-fine-step", "0.5"]) == 2
+        assert "--ref-fine-step" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ref-horizon": 3}))
+        assert run(sampled + ["--config", str(cfg)]) == 2
+        assert "--ref-horizon" in capsys.readouterr().err
+        analytic = base + ["--metric", "gaussian-exact", "--analytic", "--seed", "2"]
+        assert run(analytic + ["--ref-draws", "7"]) == 2
+        assert "--ref-draws" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(analytic) == 0
+
     def test_analytic_needs_dim_1(self, tmp_path):
         assert run([
             "rate", "--target", "gaussian", "--dim", "2", "--metric", "gaussian-exact",
@@ -291,6 +340,16 @@ class TestConstants:
         assert c1["log10_value"] > 300
         assert rep["constants"]["v2_integral"]["value"] == pytest.approx(11.46, abs=0.05)
 
+    def test_manifest_records_monte_carlo_options(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert run(["constants", "--target", "gaussian", "--dim", "2", "--v2-method", "mc",
+                    "--v2-draws", "500", "--seed", "3", "--out", str(out)]) == 0
+        cfg = json.loads((tmp_path / "c.json.manifest.json").read_text())["resolved_config"]
+        assert (cfg["v2_method"], cfg["v2_draws"], cfg["seed"]) == ("mc", 500, 3)
+        v2, _ = estimate_v2_integral(make_gaussian(2), 1.0, method="mc", n_draws=500,
+                                     master_seed=3)
+        assert json.loads(out.read_text())["constants"]["v2_integral"]["value"] == v2
+
     def test_stdout_mode(self, capsys):
         assert run(["constants", "--target", "gaussian", "--dim", "2"]) == 0
         rep = json.loads(capsys.readouterr().out)
@@ -328,6 +387,19 @@ class TestCheck:
         code = run(["check", "--target", "double-well", "--dim", "4",
                     "--points", "800", "--seed", "0", "--override", "L=0.01"])
         assert code == 1
+
+    def test_payload_lists_first_violations(self, tmp_path):
+        out = tmp_path / "k.json"
+        assert run(["check", "--target", "double-well", "--dim", "3", "--points", "400",
+                    "--seed", "0", "--override", "L=0.01", "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        target = override_constants(make_double_well(3), L=0.01)
+        report = check_assumption_2(target, 400, 10.0, RngStream(0, 0))
+        assert len(report.violations) > 10
+        written = {c["assumption"]: c for c in checks}["assumption-2"]
+        assert written["n_violations"] == len(report.violations)
+        assert written["violations"] == report.violations[:10]
+        assert all(len(c["violations"]) == min(c["n_violations"], 10) for c in checks)
 
     def test_points_validation(self):
         assert run(["check", "--target", "gaussian", "--points", "0"]) == 2

@@ -1,10 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from tamedlmc import potentials
 from tamedlmc.metrics import marginal_support
 from tamedlmc.numerics import RngStream, finite_diff_gradient, finite_diff_jacobian
 from tamedlmc.potentials import (
@@ -12,6 +14,7 @@ from tamedlmc.potentials import (
     check_assumption_2,
     check_assumption_3,
     check_assumption_4,
+    default_mixture_center,
     make_double_well,
     make_gaussian,
     make_target,
@@ -49,13 +52,13 @@ class TestBuiltins:
 
     def test_mixture_far_field(self):
         t = make_target("mixture", 4)
-        a = t.extra_params["a_dot"]
+        a = default_mixture_center(4)
         theta = 1e4 * a
         assert np.allclose(t.h(theta), theta - a, atol=1e-12)
 
     def test_mixture_no_overflow(self):
         t = make_target("mixture", 4)
-        a = t.extra_params["a_dot"]
+        a = default_mixture_center(4)
         for sign in (+1.0, -1.0):
             theta = sign * 1e4 / 4.0 * a  # <a, theta> = +/- 1e4
             assert np.all(np.isfinite(t.h(theta)))
@@ -81,6 +84,24 @@ class TestBuiltins:
             rows = np.stack([t.h(p) for p in pts])
             assert np.array_equal(batch, rows)
             assert np.array_equal(t.U(pts), np.array([t.U(p) for p in pts]))
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_facts_survive_pickling(self, name):
+        # targets cross process boundaries to the chain workers
+        t = make_target(name, 3)
+        back = pickle.loads(pickle.dumps(t))
+        xs = np.linspace(-2.0, 2.0, 5)
+        assert np.array_equal(back.marginal(xs), t.marginal(xs))
+        assert back.second_moment(2.0) == t.second_moment(2.0)
+        assert (back.exact_draw is None) == (name != "gaussian")
+
+    def test_building_does_no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature while building a target")
+
+        monkeypatch.setattr(potentials, "integrate_semi_infinite", refuse)
+        t = make_double_well(137)
+        assert t.marginal is not None and t.second_moment is not None
 
     def test_make_target_unknown(self):
         with pytest.raises(ValueError):

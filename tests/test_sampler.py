@@ -1,12 +1,21 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from tamedlmc.potentials import make_double_well, make_gaussian, make_target, row_norm_sq
+from tamedlmc.potentials import (
+    TARGET_NAMES,
+    TargetSpec,
+    make_double_well,
+    make_gaussian,
+    make_target,
+    marginal_pdf,
+    row_norm_sq,
+)
 from tamedlmc.sampler import (
     DivergenceError,
     SamplerConfig,
@@ -76,6 +85,29 @@ class TestTamedGradient:
             lhs = lam * np.linalg.norm(tamed_gradient(t, theta, lam))
             mid = lam * t.K * (1.0 + norm ** (t.r + 1)) / math.sqrt(1.0 + lam * norm ** (2 * t.r))
             assert lhs <= mid * (1.0 + 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(TARGET_NAMES),
+        d=st.integers(1, 8),
+        log_lam=st.floats(-4.0, 0.0),
+        log_radii=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_taming_bound_property(self, name, d, log_lam, log_radii, seed):
+        # taming never enlarges the drift, and it grows at most linearly:
+        # |h_lam(theta)| <= 2K max(1, lam^{-1/2} |theta|)
+        t = make_target(name, d)
+        lam = 10.0**log_lam
+        dirs = np.random.default_rng(seed).standard_normal((len(log_radii), d))
+        radii = 10.0 ** np.array(log_radii)
+        theta = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * radii[:, None]
+        tamed = np.linalg.norm(tamed_gradient(t, theta, lam), axis=1)
+        raw = np.linalg.norm(t.h(theta), axis=1)
+        linear = 2.0 * t.K * np.maximum(1.0, np.linalg.norm(theta, axis=1) / math.sqrt(lam))
+        slack = 1.0 + 1e-12
+        assert np.all(tamed <= raw * slack)
+        assert np.all(tamed <= linear * slack)
 
     def test_small_step_limit(self):
         t = make_double_well(2)
@@ -275,27 +307,28 @@ class TestGaussianClosedForm:
 class TestReference:
     def test_exact_gaussian_shortcut(self):
         t = make_gaussian(4)
-        m = reference_measure(t, beta=4.0, d=4, horizon=1.0, fine_step=0.01,
-                              master_seed=0, n_draws=20_000, exact_gaussian=True)
+        m = reference_measure(t, beta=4.0, master_seed=0, n_draws=20_000)
+        assert m.meta["algorithm"] == "exact"
         assert m.samples.shape == (20_000, 4)
         assert np.std(m.samples) == pytest.approx(0.5, abs=0.01)
 
     def test_exact_requires_gaussian(self):
         with pytest.raises(ValueError):
-            reference_measure(make_double_well(2), 1.0, 2, 1.0, 0.001,
-                              master_seed=0, n_draws=1, exact_gaussian=True)
+            # no exact draw, and no fine-step chain parameters
+            reference_measure(make_double_well(2), 1.0, master_seed=0, n_draws=1)
 
     def test_fine_step_variance(self):
         # AR(1) stationary std at fine step 1e-3 is 1.00025; the sample std
-        # over 4e4 draws should sit within [0.99, 1.01]
-        t = make_gaussian(1)
-        m = reference_measure(t, beta=1.0, d=1, horizon=5.0, fine_step=1e-3,
+        # over 4e4 draws should sit within [0.99, 1.01].  Without its exact
+        # draw the Gaussian's reference is the fine-step chain.
+        t = replace(make_gaussian(1), exact_draw=None)
+        m = reference_measure(t, beta=1.0, horizon=5.0, fine_step=1e-3,
                               master_seed=2, n_draws=40_000)
         assert 0.99 <= float(np.std(m.samples)) <= 1.01
 
     def test_single_draw_matches_chain(self):
         t = make_double_well(2)
-        m = reference_measure(t, beta=1.0, d=2, horizon=0.5, fine_step=0.01,
+        m = reference_measure(t, beta=1.0, horizon=0.5, fine_step=0.01,
                               master_seed=5, n_draws=1)
         assert m.samples.shape == (1, 2)
         assert np.all(np.isfinite(m.samples))
@@ -308,7 +341,7 @@ class TestReference:
 
         t = make_target("mixture", 2)
         lam_max, _ = step_size_limits_for_target(t)
-        ref = reference_measure(t, beta=1.0, d=2, horizon=10.0,
+        ref = reference_measure(t, beta=1.0, horizon=10.0,
                                 fine_step=lam_max / 10.0, master_seed=31,
                                 n_draws=10_000, n_workers=2)
         md = marginal_pdf(t)
@@ -331,19 +364,19 @@ class TestStepSizeLimits:
 
 class TestV2Integral:
     def test_gaussian_analytic(self):
-        v2, err = estimate_v2_integral(make_gaussian(5), beta=2.0, d=5)
+        v2, err = estimate_v2_integral(make_gaussian(5), beta=2.0)
         assert v2 == pytest.approx(1.0 + 5 / 2.0)
         assert err == 0.0
 
     @pytest.mark.parametrize("name", ["double-well", "mixture"])
     def test_quadrature_vs_monte_carlo(self, name):
         t = make_target(name, 3)
-        v2q, _ = estimate_v2_integral(t, beta=1.0, d=3)
+        v2q, _ = estimate_v2_integral(t, beta=1.0)
         lam_max, _ = step_size_limits_for_target(t)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             v2m, se = estimate_v2_integral(
-                t, beta=1.0, d=3, method="mc", n_draws=2000,
+                t, beta=1.0, method="mc", n_draws=2000,
                 horizon=10.0, fine_step=lam_max / 2.0, master_seed=8,
             )
         assert se > 0.0
@@ -351,7 +384,43 @@ class TestV2Integral:
 
     def test_bad_method(self):
         with pytest.raises(ValueError):
-            estimate_v2_integral(make_gaussian(2), 1.0, 2, method="guess")
+            estimate_v2_integral(make_gaussian(2), 1.0, method="guess")
+
+
+class TestHandBuiltTarget:
+    # the double-well's potential with none of the facts about its law
+    @staticmethod
+    def target():
+        dw = make_double_well(2)
+        return TargetSpec(name="hand-built", d=2, U=dw.U, h=dw.h, hess=dw.hess, r=2, nu=1,
+                          L=1.0, K=2.0, a=0.5, b=1.0, r_bar=0.0, L_grad=3.0)
+
+    def test_no_marginal(self):
+        with pytest.raises(ValueError, match="no analytic marginal"):
+            marginal_pdf(self.target())
+
+    def test_no_closed_form_second_moment(self):
+        with pytest.raises(ValueError, match="no closed-form second moment"):
+            estimate_v2_integral(self.target(), 1.0, method="quadrature")
+
+    def test_auto_falls_back_to_fine_step_chain(self):
+        t = self.target()
+        v2, se = estimate_v2_integral(t, 1.0, n_draws=200, horizon=1.0, fine_step=0.01,
+                                      master_seed=3)
+        ref = reference_measure(t, 1.0, master_seed=3, n_draws=200, horizon=1.0,
+                                fine_step=0.01)
+        assert ref.meta["algorithm"] == "mtula" and ref.meta["lambda"] == 0.01
+        expect = 1.0 + np.sum(ref.samples**2, axis=1)
+        assert v2 == float(np.mean(expect))
+        assert se == float(np.std(expect, ddof=1) / math.sqrt(200))
+        assert se > 0.0
+
+    def test_gaussian_monte_carlo_uses_exact_draws(self):
+        t = make_gaussian(3)
+        v2, se = estimate_v2_integral(t, 2.0, method="mc", n_draws=500, master_seed=4)
+        ref = reference_measure(t, 2.0, master_seed=4, n_draws=500)
+        assert v2 == float(np.mean(1.0 + np.sum(ref.samples**2, axis=1)))
+        assert abs(v2 - (1.0 + 3 / 2.0)) <= 4 * se
 
 
 class TestSerialization:
