@@ -51,8 +51,6 @@ from .constants import (
     derive_lipschitz_constants,
     derive_moment_constants,
     derive_theorem_constants,
-    lyapunov_v,
-    lyapunov_v_scalar,
     step_size_limits,
     step_size_limits_for_target,
 )
@@ -60,7 +58,6 @@ from .metrics import (
     Histogram,
     RateFit,
     cdf_from_pdf,
-    empirical_moment,
     fit_rate,
     histogram,
     ks_statistic,

@@ -2,9 +2,10 @@
 sweeps, constants reports, and assumption checks.
 
 Exit codes: 0 success, 1 property violation (check), 2 usage error,
-3 runtime divergence (all chains lost).  Every file-producing invocation
-writes a sibling ``<out>.manifest.json`` recording the resolved
-configuration; CSV/JSON payloads are byte-reproducible given a seed.
+3 runtime divergence (all chains lost; for rate, any chain lost).  Every
+file-producing invocation writes a sibling ``<out>.manifest.json``
+recording the resolved options; CSV/JSON payloads are byte-reproducible
+given a seed.
 """
 
 from __future__ import annotations
@@ -24,19 +25,58 @@ from . import constants as constants_mod
 from . import metrics, potentials, sampler
 from .numerics import RngStream
 
-# the experiment defaults: beta=1, 250 chains, horizon 400, d=100, and the
-# six-step grid used for the published histograms
-DEFAULT_GRID = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1)
-DEFAULTS = {
-    "dim": 100,
-    "beta": 1.0,
-    "chains": 250,
-    "horizon": 400.0,
-    "seed": 0,
-    "workers": 1,
-    "theta0": 0.0,
-}
+REQUIRED = object()  # the default of an option a command cannot run without
 PRESETS = {"desk": {"dim": 20, "chains": 500}}
+
+
+def _each(default, *commands) -> dict:
+    return dict.fromkeys(commands, default)
+
+
+# Every option of every command: its long name, its argparse keywords, and
+# its default for each command that takes it.  The long name is also the
+# option's config-file key and, with dashes as underscores, its manifest
+# key.  The defaults are the experiment's: beta=1, 250 chains, horizon 400,
+# d=100, and the six-step grid of the published histograms.
+OPTIONS = (
+    ("target", {"choices": potentials.TARGET_NAMES},
+     {**_each(REQUIRED, "sample", "rate", "constants", "check"), "histogram": None}),
+    ("dim", {"type": int}, {"sample": 100, "rate": 100, "constants": 2, "check": 10}),
+    ("beta", {"type": float}, _each(1.0, "sample", "rate", "constants")),
+    ("seed", {"type": int}, _each(0, "sample", "rate", "constants", "check")),
+    ("out", {}, {**_each(REQUIRED, "sample", "histogram"), **_each(None, "rate", "constants", "check")}),
+    ("force", {"action": "store_true"}, _each(False, "sample", "histogram", "rate", "constants", "check")),
+    ("config", {"help": "JSON config file (explicit flags win)"}, _each(None, "sample", "rate")),
+    ("preset", {"choices": sorted(PRESETS)}, _each(None, "sample", "rate")),
+    ("lambda", {"type": float}, {"sample": REQUIRED}),
+    ("chains", {"type": int}, _each(250, "sample", "rate")),
+    ("horizon", {"type": float}, _each(400.0, "sample", "rate")),
+    ("workers", {"type": int}, _each(1, "sample", "rate")),
+    ("theta0", {"type": float}, {"sample": 0.0}),
+    ("algorithm", {"choices": sampler.ALGORITHMS}, {"sample": "mtula"}),
+    ("in", {}, {"histogram": REQUIRED}),
+    ("bins", {"type": int}, {"histogram": 60}),
+    ("range", {"type": float, "nargs": 2, "metavar": ("LO", "HI")}, {"histogram": None}),
+    ("metric", {"choices": ("w1", "w2", "sw1", "sw2", "gaussian-exact")}, {"rate": "w1"}),
+    ("grid", {"help": "comma-separated step sizes"}, {"rate": "0.001,0.005,0.01,0.025,0.05,0.1"}),
+    ("analytic", {"action": "store_true", "help": "closed-form distances (gaussian-exact, dim 1)"},
+     {"rate": False}),
+    ("ref-fine-step", {"type": float}, {"rate": None}),
+    ("ref-horizon", {"type": float}, {"rate": None}),
+    ("n-proj", {"type": int}, {"rate": 256}),
+    ("p-list", {"help": "comma-separated extra moment degrees"}, {"constants": None}),
+    ("v2-method", {"choices": ("quadrature", "mc", "none")}, {"constants": "quadrature"}),
+    ("v2-draws", {"type": int}, {"constants": 100_000}),
+    ("points", {"type": int}, {"check": 10_000}),
+    ("radius", {"type": float}, {"check": 10.0}),
+    ("override", {"action": "append", "metavar": "NAME=VALUE",
+                  "help": "replace an assumption constant (falsification control)"}, {"check": None}),
+)
+
+
+def command_options(cmd: str) -> list:
+    """The rows of ``cmd``'s options: (long name, argparse keywords, default)."""
+    return [(name, kwargs, defaults[cmd]) for name, kwargs, defaults in OPTIONS if cmd in defaults]
 
 
 class UsageError(Exception):
@@ -68,13 +108,13 @@ def _version_stamp() -> str:
 
 
 def _load_config(args) -> dict:
-    """The ``--config`` file's settings, keyed by argparse dest.
+    """The ``--config`` file's settings, keyed by manifest key.
 
-    Keys are the command's long option names without the dashes
+    Keys are the command's long option names other than ``config``
     (``lambda``, ``ref-fine-step``).  Each value goes through the
     command's own parser as ``--name=value``, so it is converted and
     checked exactly like the flag; a JSON ``true`` sets a switch."""
-    path = args.config
+    path = getattr(args, "config", None)
     if not path:
         return {}
     try:
@@ -84,39 +124,42 @@ def _load_config(args) -> dict:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config file must contain a JSON object")
-    options = {
-        opt[2:]: action
-        for action in args.parser._actions
-        for opt in action.option_strings
-        if opt.startswith("--") and opt not in ("--config", "--help")
-    }
+    switch = {name: kwargs.get("action") == "store_true"
+              for name, kwargs, _ in command_options(args.cmd) if name != "config"}
     argv = []
     for key, value in cfg.items():
-        if key not in options:
+        if key not in switch:
             raise UsageError(
-                f"unknown config key {key!r} in {path}; expected one of {sorted(options)}"
+                f"unknown config key {key!r} in {path}; expected one of {sorted(switch)}"
             )
-        if options[key].nargs == 0:
+        if switch[key]:
             argv += [f"--{key}"] if value else []
         else:
             argv.append(f"--{key}={value}")
-    parsed = args.parser.parse_args(argv)
-    return {options[key].dest: getattr(parsed, options[key].dest) for key in cfg}
+    parsed = vars(args.parser.parse_args(argv))
+    return {key.replace("-", "_"): parsed[key.replace("-", "_")] for key in cfg}
 
 
-def _resolver(args):
-    """res(dest, default): the explicit flag, else the preset's value,
-    else the config file's, else the default."""
+def _resolve(args) -> tuple[dict, set]:
+    """Every option of the command, keyed by manifest key: the flag, else
+    the preset's value, else the config file's, else the default.  Also
+    returns the keys that one of the first three set."""
+    flags = vars(args)
     config = _load_config(args)
-    preset = PRESETS.get(args.preset or config.get("preset"), {})
-
-    def res(name, default):
-        for source in (vars(args), preset, config):
-            if source.get(name) is not None:
-                return source[name]
-        return default
-
-    return res
+    preset = PRESETS.get(flags.get("preset") or config.get("preset"), {})
+    opts, explicit = {}, set()
+    for name, _, default in command_options(args.cmd):
+        key = name.replace("-", "_")
+        for source in (flags, preset, config):
+            if source.get(key) is not None:
+                opts[key] = source[key]
+                explicit.add(key)
+                break
+        else:
+            if default is REQUIRED:
+                raise UsageError(f"--{name} is required")
+            opts[key] = default
+    return opts, explicit
 
 
 def _check_overwrite(paths, force: bool):
@@ -143,36 +186,16 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _build_target(name: str, dim: int) -> potentials.TargetSpec:
-    if name is None:
-        raise UsageError("--target is required")
-    return potentials.make_target(name, dim)  # an unknown name: ValueError, exit 2
-
-
 # --- sample ---
 
-def cmd_sample(args) -> int:
-    res = _resolver(args)
-    dim = int(res("dim", DEFAULTS["dim"]))
-    lam = res("lam", None)
-    if lam is None:
-        raise UsageError("--lambda is required")
+def cmd_sample(opts, explicit) -> int:
+    lam, dim = opts["lambda"], opts["dim"]
     if lam <= 0:
         raise UsageError(f"--lambda must be positive (got {lam})")
-    beta = float(res("beta", DEFAULTS["beta"]))
-    chains = int(res("chains", DEFAULTS["chains"]))
-    horizon = float(res("horizon", DEFAULTS["horizon"]))
-    seed = int(res("seed", DEFAULTS["seed"]))
-    workers = int(res("workers", DEFAULTS["workers"]))
-    theta0 = float(res("theta0", DEFAULTS["theta0"]))
-    algorithm = res("algorithm", "mtula")
-    out = res("out", None)
-    if out is None:
-        raise UsageError("--out is required")
-    if beta <= 0 or horizon <= 0 or chains < 1 or dim < 1:
+    if opts["beta"] <= 0 or opts["horizon"] <= 0 or opts["chains"] < 1 or dim < 1:
         raise UsageError("beta, horizon must be positive; chains, dim must be >= 1")
 
-    target = _build_target(res("target", None), dim)
+    target = potentials.make_target(opts["target"], dim)
     lam_max, _ = constants_mod.step_size_limits_for_target(target)
     if lam > lam_max:
         print(
@@ -182,28 +205,23 @@ def cmd_sample(args) -> int:
         )
 
     cfg = sampler.SamplerConfig(
-        lam=lam, beta=beta, d=dim, n_chains=chains, horizon=horizon,
-        master_seed=seed, theta0=theta0, algorithm=algorithm,
+        lam=lam, beta=opts["beta"], d=dim, n_chains=opts["chains"], horizon=opts["horizon"],
+        master_seed=opts["seed"], theta0=opts["theta0"], algorithm=opts["algorithm"],
     )
-    out_path = Path(out)
+    out_path = Path(opts["out"])
     meta_path = out_path.with_suffix(".meta.json")
-    _check_overwrite([out_path, meta_path], res("force", False))
+    _check_overwrite([out_path, meta_path], opts["force"])
 
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            measure = sampler.run_chains(cfg, target, n_workers=workers)
+            measure = sampler.run_chains(cfg, target, n_workers=opts["workers"])
     except sampler.DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise DivergenceExit() from exc
 
-    resolved = {
-        "target": target.name, "dim": dim, "lambda": lam, "beta": beta,
-        "chains": chains, "horizon": horizon, "seed": seed, "theta0": theta0,
-        "algorithm": algorithm, "workers": workers, "out": str(out_path),
-    }
     sampler.save_measure_csv(measure, out_path)
-    manifest_path = _write_manifest(out_path, "sample", resolved, [out_path, meta_path])
+    manifest_path = _write_manifest(out_path, "sample", opts, [out_path, meta_path])
     meta = dict(measure.meta)
     meta["manifest"] = str(manifest_path)
     _write_json(meta_path, meta)
@@ -215,8 +233,8 @@ def cmd_sample(args) -> int:
 
 # --- histogram ---
 
-def cmd_histogram(args) -> int:
-    in_path = Path(args.infile)
+def cmd_histogram(opts, explicit) -> int:
+    in_path = Path(opts["in"])
     try:
         _, samples = sampler.load_measure_csv(in_path)
     except (OSError, ValueError) as exc:
@@ -232,38 +250,34 @@ def cmd_histogram(args) -> int:
         raise UsageError(
             f"the analytic marginals are for beta = 1; the samples have beta = {beta}"
         )
-    target_name = args.target or meta.get("target")
-    if target_name is None:
+    opts["target"] = opts["target"] or meta.get("target")
+    if opts["target"] is None:
         raise UsageError("--target is required when the samples have no metadata file")
-    dim = samples.shape[1]
-    target = _build_target(target_name, dim)
+    target = potentials.make_target(opts["target"], samples.shape[1])
 
     density = potentials.marginal_pdf(target)
     first = samples[:, 0]
-    if args.range is not None:
-        lo, hi = args.range
+    if opts["range"] is not None:
+        lo, hi = opts["range"]
         if not lo < hi:
             raise UsageError("--range requires lo < hi")
     else:
         lo, hi = density.support
         lo = min(lo, float(first.min()) - 0.5)
         hi = max(hi, float(first.max()) + 0.5)
-    hist = metrics.histogram(first, args.bins, (lo, hi))
+    opts["range"] = [lo, hi]
+    hist = metrics.histogram(first, opts["bins"], (lo, hi))
     analytic = np.asarray(density.pdf(hist.centers), dtype=float)
     ks = metrics.ks_statistic(first, density.cdf)
 
-    out_path = Path(args.out)
+    out_path = Path(opts["out"])
     summary_path = out_path.with_suffix(".summary.json")
-    _check_overwrite([out_path, summary_path], args.force)
+    _check_overwrite([out_path, summary_path], opts["force"])
     lines = ["bin_center,empirical_density,analytic_density"]
     for ctr, emp, ana in zip(hist.centers, hist.densities, analytic):
         lines.append(f"{repr(float(ctr))},{repr(float(emp))},{repr(float(ana))}")
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    resolved = {
-        "infile": str(in_path), "target": target.name, "bins": args.bins,
-        "range": [lo, hi], "out": str(out_path),
-    }
-    manifest_path = _write_manifest(out_path, "histogram", resolved, [out_path, summary_path])
+    manifest_path = _write_manifest(out_path, "histogram", opts, [out_path, summary_path])
     _write_json(summary_path, {
         "ks_statistic": ks,
         "n_samples": int(first.size),
@@ -285,94 +299,95 @@ def _gaussian_exact_distance(lam: float, beta: float) -> float:
     return abs(sampler.gaussian_chain_std(lam, beta) - 1.0 / np.sqrt(beta))
 
 
-def cmd_rate(args) -> int:
-    res = _resolver(args)
-    dim = int(res("dim", DEFAULTS["dim"]))
-    beta = float(res("beta", DEFAULTS["beta"]))
-    chains = int(res("chains", DEFAULTS["chains"]))
-    horizon = float(res("horizon", DEFAULTS["horizon"]))
-    seed = int(res("seed", DEFAULTS["seed"]))
-    workers = int(res("workers", DEFAULTS["workers"]))
-    out = res("out", None)
-    metric = res("metric", "w1")
-    analytic = res("analytic", False)
-    grid_arg = res("grid", None)
-    grid = [float(x) for x in grid_arg.split(",")] if grid_arg else list(DEFAULT_GRID)
+def _every_chain(where: str, run, *args, **kwargs) -> sampler.EmpiricalMeasure:
+    """``run(*args, **kwargs)``'s measure; exit 3 naming ``where`` if it lost
+    any chain, since a distance between survivors is not the one asked for."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            measure = run(*args, **kwargs)
+    except sampler.DivergenceError as exc:
+        print(f"error at {where}: {exc}", file=sys.stderr)
+        raise DivergenceExit() from exc
+    lost = len(measure.meta["diverged_chains"])
+    if lost:
+        print(f"error at {where}: {lost} of {measure.meta['n_chains']} chains diverged",
+              file=sys.stderr)
+        raise DivergenceExit()
+    return measure
+
+
+def cmd_rate(opts, explicit) -> int:
+    dim, beta, metric, analytic = opts["dim"], opts["beta"], opts["metric"], opts["analytic"]
+    grid = [float(x) for x in opts["grid"].split(",")]
     if any(g <= 0 for g in grid) or len(grid) < 2:
         raise UsageError("--grid needs at least two positive step sizes")
-    target = _build_target(res("target", None), dim)
+    opts["grid"] = grid
+    target = potentials.make_target(opts["target"], dim)
 
     if metric == "gaussian-exact" and target.exact_draw is None:
         raise UsageError("--metric gaussian-exact requires a target drawn exactly (gaussian)")
     if analytic and (metric != "gaussian-exact" or dim != 1):
         raise UsageError("--analytic requires --metric gaussian-exact and --dim 1")
-    # a reference option that cannot shape the reference is refused, not ignored
-    unused, why = (), ""
+    # an option that cannot shape the result is refused, not ignored
+    unused = {}
     if analytic:
-        unused, why = ("ref_draws", "ref_fine_step", "ref_horizon"), "--analytic uses no reference"
+        unused["--analytic runs no chain"] = (
+            "chains", "horizon", "workers", "ref_fine_step", "ref_horizon")
     elif target.exact_draw is not None:
-        unused, why = ("ref_fine_step", "ref_horizon"), f"the {target.name} reference is exact"
-    given = ["--" + dest.replace("_", "-") for dest in unused if res(dest, None) is not None]
-    if given:
-        raise UsageError(f"{', '.join(given)} cannot apply: {why}")
+        unused[f"the {target.name} reference is exact"] = ("ref_fine_step", "ref_horizon")
+    if metric not in ("sw1", "sw2"):
+        unused[f"--metric {metric} takes no projections"] = ("n_proj",)
+    for why, keys in unused.items():
+        given = ["--" + key.replace("_", "-") for key in keys if key in explicit]
+        if given:
+            raise UsageError(f"{', '.join(given)} cannot apply: {why}")
+        opts.update(dict.fromkeys(keys))
 
     distances = []
-    ref_draws = fine = ref_horizon = n_proj = None
     if analytic:
         distances = [_gaussian_exact_distance(lam, beta) for lam in grid]
     else:
-        ref_draws = res("ref_draws", chains)
+        seed, workers = opts["seed"], opts["workers"]
         if target.exact_draw is None:
             lam_max, _ = constants_mod.step_size_limits_for_target(target)
-            fine = res("ref_fine_step", lam_max / 10.0)
-            ref_horizon = res("ref_horizon", min(horizon, 50.0))
-        if metric in ("sw1", "sw2"):
-            n_proj = res("n_proj", 256)
-        reference = sampler.reference_measure(
-            target, beta, master_seed=seed + 10_000, n_draws=ref_draws,
-            horizon=ref_horizon, fine_step=fine, n_workers=workers,
+            if opts["ref_fine_step"] is None:
+                opts["ref_fine_step"] = lam_max / 10.0
+            if opts["ref_horizon"] is None:
+                opts["ref_horizon"] = min(opts["horizon"], 50.0)
+        reference = _every_chain(
+            "the reference", sampler.reference_measure, target, beta, master_seed=seed + 10_000,
+            n_draws=opts["chains"], horizon=opts["ref_horizon"], fine_step=opts["ref_fine_step"],
+            n_workers=workers,
         )
+        b = reference.samples
         for lam in grid:
             cfg = sampler.SamplerConfig(
-                lam=lam, beta=beta, d=dim, n_chains=chains, horizon=horizon,
+                lam=lam, beta=beta, d=dim, n_chains=opts["chains"], horizon=opts["horizon"],
                 master_seed=seed,
             )
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    measure = sampler.run_chains(cfg, target, n_workers=workers)
-            except sampler.DivergenceError as exc:
-                print(f"error at lambda={lam:g}: {exc}", file=sys.stderr)
-                raise DivergenceExit() from exc
-            n = min(measure.samples.shape[0], reference.samples.shape[0])
-            a, b = measure.samples[:n], reference.samples[:n]
+            a = _every_chain(f"lambda={lam:g}", sampler.run_chains, cfg, target,
+                             n_workers=workers).samples
             if metric in ("w1", "w2", "gaussian-exact"):
                 p = 2 if metric == "w2" else 1
                 dist = metrics.wasserstein_1d(a[:, 0], b[:, 0], p=p)
             else:
                 p = 1 if metric == "sw1" else 2
                 dist = metrics.sliced_wasserstein(
-                    a, b, p=p, n_proj=n_proj, stream=RngStream(seed + 20_000, 0),
+                    a, b, p=p, n_proj=opts["n_proj"], stream=RngStream(seed + 20_000, 0),
                 )
             distances.append(dist)
 
     fit = metrics.fit_rate(grid, distances)
-    out_path = Path(out) if out else None
-    if out_path is not None:
+    if opts["out"] is not None:
+        out_path = Path(opts["out"])
         fit_path = out_path.with_suffix(".fit.json")
-        _check_overwrite([out_path, fit_path], res("force", False))
+        _check_overwrite([out_path, fit_path], opts["force"])
         lines = ["lambda,distance,metric"]
         for lam, dist in zip(grid, distances):
             lines.append(f"{repr(float(lam))},{repr(float(dist))},{metric}")
         out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        resolved = {
-            "target": target.name, "dim": dim, "beta": beta, "chains": chains,
-            "horizon": horizon, "seed": seed, "metric": metric, "grid": grid,
-            "analytic": bool(analytic), "workers": workers, "ref_draws": ref_draws,
-            "ref_fine_step": fine, "ref_horizon": ref_horizon, "n_proj": n_proj,
-            "out": str(out_path),
-        }
-        manifest_path = _write_manifest(out_path, "rate", resolved, [out_path, fit_path])
+        manifest_path = _write_manifest(out_path, "rate", opts, [out_path, fit_path])
         payload = fit.to_dict()
         payload["manifest"] = str(manifest_path)
         _write_json(fit_path, payload)
@@ -382,37 +397,29 @@ def cmd_rate(args) -> int:
 
 # --- constants ---
 
-def cmd_constants(args) -> int:
-    dim = args.dim if args.dim is not None else 2
-    beta = args.beta if args.beta is not None else 1.0
+def cmd_constants(opts, explicit) -> int:
+    dim, beta = opts["dim"], opts["beta"]
     if beta <= 0 or dim < 1:
         raise UsageError("beta must be positive and dim >= 1")
-    target = _build_target(args.target, dim)
-    p_list = [int(x) for x in args.p_list.split(",")] if args.p_list else None
+    target = potentials.make_target(opts["target"], dim)
+    if opts["p_list"] is not None:
+        opts["p_list"] = [int(x) for x in opts["p_list"].split(",")]
 
-    seed = args.seed or 0
     v2 = v2_err = None
-    if args.v2_method != "none":
+    if opts["v2_method"] != "none":
         v2, v2_err = sampler.estimate_v2_integral(
             target, beta,
-            method="mc" if args.v2_method == "mc" else "auto",
-            n_draws=args.v2_draws, master_seed=seed,
+            method="mc" if opts["v2_method"] == "mc" else "auto",
+            n_draws=opts["v2_draws"], master_seed=opts["seed"],
         )
     dc = constants_mod.derive_constants(
-        target, beta, dim, p_list=p_list, v2_integral=v2, v2_stderr=v2_err,
+        target, beta, dim, p_list=opts["p_list"], v2_integral=v2, v2_stderr=v2_err,
     )
     report = dc.to_report()
-    if args.out:
-        out_path = Path(args.out)
-        _check_overwrite([out_path], args.force)
-        manifest_path = _write_manifest(
-            out_path, "constants",
-            {"target": target.name, "dim": dim, "beta": beta, "p_list": p_list,
-             "v2_method": args.v2_method, "v2_draws": args.v2_draws, "seed": seed,
-             "out": str(out_path)},
-            [out_path],
-        )
-        report["manifest"] = str(manifest_path)
+    if opts["out"] is not None:
+        out_path = Path(opts["out"])
+        _check_overwrite([out_path], opts["force"])
+        report["manifest"] = str(_write_manifest(out_path, "constants", opts, [out_path]))
         _write_json(out_path, report)
         print(f"wrote {out_path}")
     else:
@@ -438,17 +445,14 @@ def _parse_overrides(pairs):
     return out
 
 
-def cmd_check(args) -> int:
-    dim = args.dim if args.dim is not None else 10
-    points = args.points if args.points is not None else 10_000
-    radius = args.radius if args.radius is not None else 10.0
-    seed = args.seed if args.seed is not None else 0
+def cmd_check(opts, explicit) -> int:
+    dim, points, radius, seed = opts["dim"], opts["points"], opts["radius"], opts["seed"]
     if points < 1:
         raise UsageError("--points must be >= 1")
     if radius <= 0:
         raise UsageError("--radius must be positive")
-    target = _build_target(args.target, dim)
-    overrides = _parse_overrides(args.override)
+    target = potentials.make_target(opts["target"], dim)
+    overrides = opts["override"] = _parse_overrides(opts["override"])
     if overrides:
         try:
             target = potentials.override_constants(target, **overrides)
@@ -475,17 +479,10 @@ def cmd_check(args) -> int:
         "all_ok": all_ok,
         "checks": [r.to_dict() for r in reports],
     }
-    if args.out:
-        out_path = Path(args.out)
-        _check_overwrite([out_path], args.force)
-        manifest_path = _write_manifest(
-            out_path, "check",
-            {"target": target.name, "dim": dim, "points": points,
-             "radius": radius, "seed": seed, "overrides": overrides,
-             "out": str(out_path)},
-            [out_path],
-        )
-        payload["manifest"] = str(manifest_path)
+    if opts["out"] is not None:
+        out_path = Path(opts["out"])
+        _check_overwrite([out_path], opts["force"])
+        payload["manifest"] = str(_write_manifest(out_path, "check", opts, [out_path]))
         _write_json(out_path, payload)
     for r in reports:
         status = "ok" if r.ok else f"{len(r.violations)} violation(s)"
@@ -495,88 +492,34 @@ def cmd_check(args) -> int:
 
 # --- parser ---
 
+COMMANDS = {
+    "sample": (cmd_sample, "run chains and write final iterates as CSV"),
+    "histogram": (cmd_histogram, "first-component histogram vs analytic marginal"),
+    "rate": (cmd_rate, "distance-vs-step-size sweep and log-log fit"),
+    "constants": (cmd_constants, "derived-constants JSON report"),
+    "check": (cmd_check, "assumption and certificate checks"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tamedlmc",
         description="Tamed Langevin Monte Carlo sampling laboratory",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def shared(p):
-        p.add_argument("--target", choices=potentials.TARGET_NAMES)
-        p.add_argument("--dim", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--force", action="store_true", default=None)
-
-    def configurable(p):
-        p.add_argument("--config", help="JSON config file (explicit flags win)")
-        p.add_argument("--preset", choices=sorted(PRESETS))
-        p.set_defaults(parser=p)
-
-    p = sub.add_parser("sample", help="run chains and write final iterates as CSV")
-    shared(p)
-    p.add_argument("--beta", type=float)
-    configurable(p)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--chains", type=int)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--theta0", type=float)
-    p.add_argument("--algorithm", choices=sampler.ALGORITHMS)
-    p.add_argument("--workers", type=int)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("histogram", help="first-component histogram vs analytic marginal")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--target", choices=potentials.TARGET_NAMES)
-    p.add_argument("--bins", type=int, default=60)
-    p.add_argument("--range", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_histogram)
-
-    p = sub.add_parser("rate", help="distance-vs-step-size sweep and log-log fit")
-    shared(p)
-    p.add_argument("--beta", type=float)
-    configurable(p)
-    p.add_argument("--metric", choices=("w1", "w2", "sw1", "sw2", "gaussian-exact"))
-    p.add_argument("--grid", help="comma-separated step sizes")
-    p.add_argument("--chains", type=int)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--analytic", action="store_true", default=None,
-                   help="closed-form distances (gaussian-exact, dim 1)")
-    p.add_argument("--ref-draws", type=int)
-    p.add_argument("--ref-fine-step", type=float)
-    p.add_argument("--ref-horizon", type=float)
-    p.add_argument("--n-proj", type=int)
-    p.set_defaults(func=cmd_rate)
-
-    p = sub.add_parser("constants", help="derived-constants JSON report")
-    shared(p)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--p-list", help="comma-separated extra moment degrees")
-    p.add_argument("--v2-method", choices=("quadrature", "mc", "none"),
-                   default="quadrature")
-    p.add_argument("--v2-draws", type=int, default=100_000)
-    p.set_defaults(func=cmd_constants)
-
-    p = sub.add_parser("check", help="assumption and certificate checks")
-    shared(p)
-    p.add_argument("--points", type=int)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--override", action="append", metavar="NAME=VALUE",
-                   help="replace an assumption constant (falsification control)")
-    p.set_defaults(func=cmd_check)
-
+    for cmd, (func, help_text) in COMMANDS.items():
+        p = sub.add_parser(cmd, help=help_text)
+        # every default is None, so the resolver can tell a flag was given
+        for name, kwargs, _ in command_options(cmd):
+            p.add_argument(f"--{name}", default=None, **kwargs)
+        p.set_defaults(func=func, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(*_resolve(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,23 +45,6 @@ def _v_mp(p: int, w: mpf) -> mpf:
     return (1 + w * w) ** (mpf(p) / 2)
 
 
-def lyapunov_v(p: int, theta) -> float:
-    """(1 + |theta|^2)^{p/2}."""
-    if p < 0:
-        raise ValueError("p must be non-negative")
-    theta = np.asarray(theta, dtype=float)
-    return float((1.0 + theta @ theta) ** (p / 2.0))
-
-
-def lyapunov_v_scalar(p: int, w: float) -> float:
-    """(1 + w^2)^{p/2} for scalar w >= 0."""
-    if p < 0:
-        raise ValueError("p must be non-negative")
-    if w < 0:
-        raise ValueError("w must be non-negative")
-    return float((1.0 + w * w) ** (p / 2.0))
-
-
 # --- base constants ---
 
 def derive_bar_constants(target: TargetSpec):

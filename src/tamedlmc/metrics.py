@@ -72,14 +72,6 @@ def ks_statistic(xs, cdf) -> float:
     return float(np.max(np.maximum(np.abs(i / n - f), np.abs((i - 1) / n - f))))
 
 
-def empirical_moment(samples, p: int) -> float:
-    """(1/N) sum_i |row_i|^p for even p >= 2."""
-    if p < 2 or p % 2 != 0:
-        raise ValueError("p must be an even integer >= 2")
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    return float(np.mean(np.linalg.norm(samples, axis=1) ** p))
-
-
 @dataclass
 class RateFit:
     """OLS fit of log(distance) against log(step size)."""

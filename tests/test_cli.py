@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tamedlmc import cli
+from tamedlmc import cli, sampler
 from tamedlmc.cli import main
 from tamedlmc.constants import step_size_limits_for_target
 from tamedlmc.numerics import RngStream
@@ -273,16 +273,16 @@ class TestRate:
         cfg = json.loads((tmp_path / "dw.csv.manifest.json").read_text())["resolved_config"]
         lam_max, _ = step_size_limits_for_target(make_double_well(1))
         assert cfg["ref_fine_step"] == lam_max / 10.0
-        assert (cfg["ref_horizon"], cfg["ref_draws"], cfg["workers"]) == (0.2, 40, 1)
+        assert (cfg["ref_horizon"], cfg["workers"]) == (0.2, 1)
         # an exact reference has no fine step or horizon; n_proj shapes sw1
         out = tmp_path / "g.csv"
         assert run([
             "rate", "--target", "gaussian", "--dim", "2", "--metric", "sw1",
-            "--chains", "50", "--horizon", "1", "--grid", "0.1,0.05", "--ref-draws", "50",
+            "--chains", "50", "--horizon", "1", "--grid", "0.1,0.05",
             "--n-proj", "8", "--seed", "1", "--out", str(out),
         ]) == 0
         cfg = json.loads((tmp_path / "g.csv.manifest.json").read_text())["resolved_config"]
-        assert (cfg["ref_draws"], cfg["n_proj"]) == (50, 8)
+        assert cfg["n_proj"] == 8
         assert cfg["ref_fine_step"] is None and cfg["ref_horizon"] is None
 
     def test_refuses_reference_options_it_cannot_honour(self, tmp_path, capsys):
@@ -297,10 +297,52 @@ class TestRate:
         assert run(sampled + ["--config", str(cfg)]) == 2
         assert "--ref-horizon" in capsys.readouterr().err
         analytic = base + ["--metric", "gaussian-exact", "--analytic", "--seed", "2"]
-        assert run(analytic + ["--ref-draws", "7"]) == 2
-        assert "--ref-draws" in capsys.readouterr().err
         assert not out.exists()
         assert run(analytic) == 0
+
+    def test_refuses_options_it_ignores(self, tmp_path, capsys):
+        # from a flag, a preset or the config file alike
+        out = tmp_path / "r.csv"
+        sampled = ["rate", "--target", "gaussian", "--dim", "2", "--metric", "w1",
+                   "--chains", "50", "--horizon", "1", "--grid", "0.2,0.1", "--out", str(out)]
+        assert run(sampled + ["--n-proj", "3"]) == 2
+        assert "--n-proj" in capsys.readouterr().err
+        analytic = ["rate", "--target", "gaussian", "--dim", "1", "--metric", "gaussian-exact",
+                    "--analytic", "--grid", "0.2,0.1", "--out", str(out)]
+        for extra in (["--chains", "7"], ["--horizon", "3"], ["--workers", "2"],
+                      ["--n-proj", "3"], ["--ref-fine-step", "0.1"], ["--preset", "desk"]):
+            assert run(analytic + extra) == 2, extra
+            flag = "--chains" if extra[0] == "--preset" else extra[0]
+            assert flag in capsys.readouterr().err, extra
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 2}))
+        assert run(analytic + ["--config", str(cfg)]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+        # the seed is accepted with --analytic; what does not apply is null
+        assert run(analytic + ["--seed", "4"]) == 0
+        cfg = json.loads((tmp_path / "r.csv.manifest.json").read_text())["resolved_config"]
+        assert (cfg["chains"], cfg["horizon"], cfg["workers"], cfg["n_proj"]) == (None,) * 4
+
+    def test_lost_chain_exit_3(self, tmp_path, monkeypatch, capsys):
+        # the distance is between the whole sample and the whole reference,
+        # never between survivors
+        run_chains = sampler.run_chains
+
+        def losing_one(config, target, **kwargs):
+            measure = run_chains(config, target, **kwargs)
+            if config.lam == 0.1:
+                measure.samples = measure.samples[1:]
+                measure.meta["diverged_chains"] = [{"chain": 0, "step": 3}]
+            return measure
+
+        monkeypatch.setattr(sampler, "run_chains", losing_one)
+        out = tmp_path / "r.csv"
+        assert run(["rate", "--target", "gaussian", "--dim", "1", "--metric", "w1",
+                    "--chains", "30", "--horizon", "1", "--grid", "0.2,0.1",
+                    "--out", str(out)]) == 3
+        assert "lambda=0.1: 1 of 30 chains diverged" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_analytic_needs_dim_1(self, tmp_path):
         assert run([
@@ -428,3 +470,93 @@ class TestManifest:
             manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
             versions.append(manifest["version"])
         assert versions[0] == versions[1]
+
+
+def _flag_argv(name, kwargs):
+    """A valid command-line setting of the option ``name``."""
+    if kwargs.get("action") == "store_true":
+        return [f"--{name}"]
+    value = str(kwargs["choices"][0]) if "choices" in kwargs else "1"
+    return [f"--{name}"] + [value] * kwargs.get("nargs", 1)
+
+
+def _readme_option_table():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| option | " + " | ".join(cli.COMMANDS) + " |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        table[cells[0]] = cells[1:]
+    return table
+
+
+class TestOptionTable:
+    def test_parser_accepts_every_row(self):
+        parser = cli.build_parser()
+        for cmd in cli.COMMANDS:
+            for name, kwargs, _ in cli.command_options(cmd):
+                args = parser.parse_args([cmd] + _flag_argv(name, kwargs))
+                assert getattr(args, name.replace("-", "_")) is not None, (cmd, name)
+
+    def test_single_command_options_rejected_elsewhere(self, capsys):
+        parser = cli.build_parser()
+        for name, kwargs, defaults in cli.OPTIONS:
+            if len(defaults) > 1:
+                continue
+            for cmd in set(cli.COMMANDS) - set(defaults):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([cmd] + _flag_argv(name, kwargs))
+                assert f"--{name}" in capsys.readouterr().err, (cmd, name)
+
+    def test_config_accepts_every_row(self, tmp_path):
+        parser = cli.build_parser()
+        cfg = tmp_path / "cfg.json"
+        for cmd in ("sample", "rate"):
+            rows = [(n, k) for n, k, _ in cli.command_options(cmd) if n != "config"]
+            values = {n: True if k.get("action") == "store_true" else _flag_argv(n, k)[1]
+                      for n, k in rows}
+            cfg.write_text(json.dumps(values))
+            loaded = cli._load_config(parser.parse_args([cmd, "--config", str(cfg)]))
+            assert set(loaded) == {n.replace("-", "_") for n, _ in rows}
+            assert None not in loaded.values()
+
+    def test_manifest_records_every_option(self, tmp_path):
+        sample = str(tmp_path / "s.csv")
+        runs = {
+            "sample": ["--target", "gaussian", "--dim", "2", "--lambda", "0.1",
+                       "--chains", "20", "--horizon", "0.5", "--out", sample],
+            "histogram": ["--in", sample, "--out", str(tmp_path / "h.csv")],
+            "rate": ["--target", "gaussian", "--dim", "2", "--metric", "sw1", "--chains", "20",
+                     "--horizon", "0.5", "--grid", "0.2,0.1", "--out", str(tmp_path / "r.csv")],
+            "constants": ["--target", "gaussian", "--v2-method", "none",
+                          "--out", str(tmp_path / "c.json")],
+            "check": ["--target", "gaussian", "--dim", "2", "--points", "50",
+                      "--out", str(tmp_path / "k.json")],
+        }
+        derived = {"histogram": {"target", "range"}, "check": {"override"}}
+        for cmd, argv in runs.items():
+            assert run([cmd] + argv) == 0, cmd
+            manifest = json.loads(Path(argv[-1] + ".manifest.json").read_text())
+            cfg = manifest["resolved_config"]
+            rows = {n.replace("-", "_"): d for n, _, d in cli.command_options(cmd)}
+            assert set(cfg) == set(rows), cmd
+            given = {a[2:].replace("-", "_") for a in argv if a.startswith("--")}
+            for key in set(rows) - given - derived.get(cmd, set()):
+                assert cfg[key] == rows[key], (cmd, key)
+        assert cfg["override"] == {}
+
+    def test_readme_table_matches_code(self):
+        def cell(default):
+            if default is cli.REQUIRED:
+                return "required"
+            if default is None:
+                return "—"
+            if default is False:
+                return "off"
+            return f"`{default}`"
+
+        code = {f"`--{name}`": [cell(defaults[c]) if c in defaults else "" for c in cli.COMMANDS]
+                for name, _, defaults in cli.OPTIONS}
+        assert _readme_option_table() == code

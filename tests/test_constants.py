@@ -12,8 +12,6 @@ from tamedlmc.constants import (
     derive_bar_constants,
     derive_constants,
     derive_lipschitz_constants,
-    lyapunov_v,
-    lyapunov_v_scalar,
     step_size_limits,
 )
 
@@ -62,19 +60,6 @@ class TestLipschitzConstants:
         assert float(L_bar) == 1.0
         assert abs(float(C_grad) - 2.0) < 1e-8
         assert abs(float(L_bar_grad) - 1.0 / 3.0) < 1e-15
-
-
-class TestLyapunov:
-    def test_values(self):
-        assert lyapunov_v(0, np.array([5.0, -2.0])) == 1.0
-        assert lyapunov_v(2, np.array([1.0, 1.0])) == pytest.approx(3.0)
-        assert lyapunov_v_scalar(4, 1.0) == pytest.approx(4.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lyapunov_v(-1, np.zeros(2))
-        with pytest.raises(ValueError):
-            lyapunov_v_scalar(2, -1.0)
 
 
 class TestSpotValues:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from tamedlmc.numerics import RngStream, normal_cdf
 from tamedlmc.metrics import (
     cdf_from_pdf,
-    empirical_moment,
     fit_rate,
     histogram,
     ks_statistic,
@@ -159,22 +158,6 @@ class TestKS:
             xs = rng.standard_normal(int(rng.integers(1, 200)))
             stat = ks_statistic(xs, normal_cdf)
             assert 0.0 <= stat <= 1.0
-
-
-class TestMoments:
-    def test_zeros(self):
-        assert empirical_moment(np.zeros((7, 3)), 2) == 0.0
-
-    def test_single_row(self):
-        assert empirical_moment(np.array([[3.0, 4.0]]), 2) == pytest.approx(25.0)
-
-    def test_gaussian_fourth_moment(self):
-        xs = RngStream(12, 0).normal((1_000_000, 1))
-        assert empirical_moment(xs, 4) == pytest.approx(3.0, abs=0.05)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            empirical_moment(np.zeros((2, 2)), 3)
 
 
 class TestFitRate:
