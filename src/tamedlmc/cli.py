@@ -1,11 +1,12 @@
 """Command-line front end: sampling runs, histogram/density exports, rate
 sweeps, constants reports, and assumption checks.
 
-Exit codes: 0 success, 1 property violation (check), 2 usage error,
-3 runtime divergence (all chains lost; for rate, any chain lost).  Every
-file-producing invocation writes a sibling ``<out>.manifest.json``
-recording the resolved options; CSV/JSON payloads are byte-reproducible
-given a seed.
+Exit codes: 0 success, 1 property violation (check), 2 usage error (also
+an option outside its domain, from a flag, preset or config file alike,
+and a JSON payload holding a non-finite number), 3 runtime divergence
+(all chains lost; for rate, any chain lost).  Every file-producing
+invocation writes a sibling ``<out>.manifest.json`` recording the
+resolved options; CSV/JSON payloads are byte-reproducible given a seed.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -33,43 +35,91 @@ def _each(default, *commands) -> dict:
     return dict.fromkeys(commands, default)
 
 
+def _domain(what: str, parse, ok):
+    """An argparse ``type``: the parsed text, if ``ok`` accepts it.  A miss
+    exits 2 with ``argument --<name>: expected <what>``."""
+    def convert(text):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return convert
+
+
+def _at_least(low: int):
+    return _domain(f"an integer >= {low}", int, lambda n: n >= low)
+
+
+def _list(item):
+    return lambda text: [item(x) for x in text.split(",")]
+
+
+def _override(text: str) -> dict:
+    name, raw = (part.strip() for part in text.split("=", 1))
+    return {name: int(raw) if name in ("r", "nu") else float(raw)}
+
+
+class _Merge(argparse.Action):
+    """Repeated ``--override`` values merged into one dict, ``{}`` if none."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **{**kwargs, "default": {}})
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, {**getattr(namespace, self.dest), **value})
+
+
+POSITIVE = _domain("a positive finite number", float, lambda x: math.isfinite(x) and x > 0)
+FINITE = _domain("a finite number", float, math.isfinite)
+GRID = _domain("at least two distinct step sizes", _list(POSITIVE),
+               lambda grid: len(set(grid)) == len(grid) >= 2)
+OVERRIDE = _domain("NAME=VALUE with a finite value (an integer for r, nu)", _override,
+                   lambda override: all(map(math.isfinite, override.values())))
+
+
 # Every option of every command: its long name, its argparse keywords, and
-# its default for each command that takes it.  The long name is also the
-# option's config-file key and, with dashes as underscores, its manifest
-# key.  The defaults are the experiment's: beta=1, 250 chains, horizon 400,
-# d=100, and the six-step grid of the published histograms.
+# its default for each command that takes it.  A numeric or list option's
+# ``type`` is its domain.  The long name is also the option's config-file
+# and preset key and, with dashes as underscores, its manifest key.  The
+# defaults are the experiment's: beta=1, 250 chains, horizon 400, d=100,
+# and the six-step grid of the published histograms.
 OPTIONS = (
     ("target", {"choices": potentials.TARGET_NAMES},
      {**_each(REQUIRED, "sample", "rate", "constants", "check"), "histogram": None}),
-    ("dim", {"type": int}, {"sample": 100, "rate": 100, "constants": 2, "check": 10}),
-    ("beta", {"type": float}, _each(1.0, "sample", "rate", "constants")),
-    ("seed", {"type": int}, _each(0, "sample", "rate", "constants", "check")),
+    ("dim", {"type": _at_least(1)}, {"sample": 100, "rate": 100, "constants": 2, "check": 10}),
+    ("beta", {"type": POSITIVE}, _each(1.0, "sample", "rate", "constants")),
+    ("seed", {"type": _at_least(0)}, _each(0, "sample", "rate", "constants", "check")),
     ("out", {}, {**_each(REQUIRED, "sample", "histogram"), **_each(None, "rate", "constants", "check")}),
     ("force", {"action": "store_true"}, _each(False, "sample", "histogram", "rate", "constants", "check")),
     ("config", {"help": "JSON config file (explicit flags win)"}, _each(None, "sample", "rate")),
     ("preset", {"choices": sorted(PRESETS)}, _each(None, "sample", "rate")),
-    ("lambda", {"type": float}, {"sample": REQUIRED}),
-    ("chains", {"type": int}, _each(250, "sample", "rate")),
-    ("horizon", {"type": float}, _each(400.0, "sample", "rate")),
-    ("workers", {"type": int}, _each(1, "sample", "rate")),
-    ("theta0", {"type": float}, {"sample": 0.0}),
+    ("lambda", {"type": POSITIVE}, {"sample": REQUIRED}),
+    ("chains", {"type": _at_least(1)}, _each(250, "sample", "rate")),
+    ("horizon", {"type": POSITIVE}, _each(400.0, "sample", "rate")),
+    ("workers", {"type": _at_least(1)}, _each(1, "sample", "rate")),
+    ("theta0", {"type": FINITE}, {"sample": 0.0}),
     ("algorithm", {"choices": sampler.ALGORITHMS}, {"sample": "mtula"}),
     ("in", {}, {"histogram": REQUIRED}),
-    ("bins", {"type": int}, {"histogram": 60}),
-    ("range", {"type": float, "nargs": 2, "metavar": ("LO", "HI")}, {"histogram": None}),
+    ("bins", {"type": _at_least(1)}, {"histogram": 60}),
+    ("range", {"type": FINITE, "nargs": 2, "metavar": ("LO", "HI")}, {"histogram": None}),
     ("metric", {"choices": ("w1", "w2", "sw1", "sw2", "gaussian-exact")}, {"rate": "w1"}),
-    ("grid", {"help": "comma-separated step sizes"}, {"rate": "0.001,0.005,0.01,0.025,0.05,0.1"}),
+    ("grid", {"type": GRID, "help": "comma-separated step sizes"},
+     {"rate": "0.001,0.005,0.01,0.025,0.05,0.1"}),
     ("analytic", {"action": "store_true", "help": "closed-form distances (gaussian-exact, dim 1)"},
      {"rate": False}),
-    ("ref-fine-step", {"type": float}, {"rate": None}),
-    ("ref-horizon", {"type": float}, {"rate": None}),
-    ("n-proj", {"type": int}, {"rate": 256}),
-    ("p-list", {"help": "comma-separated extra moment degrees"}, {"constants": None}),
+    ("ref-fine-step", {"type": POSITIVE}, {"rate": None}),
+    ("ref-horizon", {"type": POSITIVE}, {"rate": None}),
+    ("n-proj", {"type": _at_least(1)}, {"rate": 256}),
+    ("p-list", {"type": _list(_at_least(0)), "help": "comma-separated extra moment degrees"},
+     {"constants": None}),
     ("v2-method", {"choices": ("quadrature", "mc", "none")}, {"constants": "quadrature"}),
-    ("v2-draws", {"type": int}, {"constants": 100_000}),
-    ("points", {"type": int}, {"check": 10_000}),
-    ("radius", {"type": float}, {"check": 10.0}),
-    ("override", {"action": "append", "metavar": "NAME=VALUE",
+    ("v2-draws", {"type": _at_least(2)}, {"constants": 100_000}),
+    ("points", {"type": _at_least(1)}, {"check": 10_000}),
+    ("radius", {"type": POSITIVE}, {"check": 10.0}),
+    ("override", {"type": OVERRIDE, "action": _Merge, "metavar": "NAME=VALUE",
                   "help": "replace an assumption constant (falsification control)"}, {"check": None}),
 )
 
@@ -79,7 +129,7 @@ def command_options(cmd: str) -> list:
     return [(name, kwargs, defaults[cmd]) for name, kwargs, defaults in OPTIONS if cmd in defaults]
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -91,7 +141,6 @@ class DivergenceExit(Exception):
 def _version_stamp() -> str:
     try:
         from importlib.metadata import version
-
         v = version("tamedlmc")
     except Exception:
         v = "unknown"
@@ -107,13 +156,31 @@ def _version_stamp() -> str:
     return v
 
 
-def _load_config(args) -> dict:
-    """The ``--config`` file's settings, keyed by manifest key.
+def _parse_settings(args, settings: dict, source: str) -> dict:
+    """A preset's or config file's settings, keyed by manifest key.
 
     Keys are the command's long option names other than ``config``
     (``lambda``, ``ref-fine-step``).  Each value goes through the
     command's own parser as ``--name=value``, so it is converted and
-    checked exactly like the flag; a JSON ``true`` sets a switch."""
+    checked exactly like the flag; a true value sets a switch."""
+    switch = {name: kwargs.get("action") == "store_true"
+              for name, kwargs, _ in command_options(args.cmd) if name != "config"}
+    argv = []
+    for key, value in settings.items():
+        if key not in switch:
+            raise UsageError(
+                f"unknown config key {key!r} in {source}; expected one of {sorted(switch)}"
+            )
+        if switch[key]:
+            argv += [f"--{key}"] if value else []
+        else:
+            argv.append(f"--{key}={value}")
+    parsed = vars(args.parser.parse_args(argv))
+    return {key.replace("-", "_"): parsed[key.replace("-", "_")] for key in settings}
+
+
+def _load_config(args) -> dict:
+    """The ``--config`` file's settings, keyed by manifest key."""
     path = getattr(args, "config", None)
     if not path:
         return {}
@@ -124,20 +191,7 @@ def _load_config(args) -> dict:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config file must contain a JSON object")
-    switch = {name: kwargs.get("action") == "store_true"
-              for name, kwargs, _ in command_options(args.cmd) if name != "config"}
-    argv = []
-    for key, value in cfg.items():
-        if key not in switch:
-            raise UsageError(
-                f"unknown config key {key!r} in {path}; expected one of {sorted(switch)}"
-            )
-        if switch[key]:
-            argv += [f"--{key}"] if value else []
-        else:
-            argv.append(f"--{key}={value}")
-    parsed = vars(args.parser.parse_args(argv))
-    return {key.replace("-", "_"): parsed[key.replace("-", "_")] for key in cfg}
+    return _parse_settings(args, cfg, path)
 
 
 def _resolve(args) -> tuple[dict, set]:
@@ -146,9 +200,10 @@ def _resolve(args) -> tuple[dict, set]:
     returns the keys that one of the first three set."""
     flags = vars(args)
     config = _load_config(args)
-    preset = PRESETS.get(flags.get("preset") or config.get("preset"), {})
+    chosen = flags.get("preset") or config.get("preset")
+    preset = _parse_settings(args, PRESETS[chosen], f"preset {chosen}") if chosen else {}
     opts, explicit = {}, set()
-    for name, _, default in command_options(args.cmd):
+    for name, kwargs, default in command_options(args.cmd):
         key = name.replace("-", "_")
         for source in (flags, preset, config):
             if source.get(key) is not None:
@@ -158,14 +213,19 @@ def _resolve(args) -> tuple[dict, set]:
         else:
             if default is REQUIRED:
                 raise UsageError(f"--{name} is required")
-            opts[key] = default
+            # like argparse, convert a string default with the option's type
+            opts[key] = kwargs.get("type", str)(default) if isinstance(default, str) else default
     return opts, explicit
 
 
-def _check_overwrite(paths, force: bool):
+def _outputs(opts, *suffixes) -> list:
+    """``--out`` and its ``suffixes`` siblings; one that exists needs ``--force``."""
+    out = Path(opts["out"])
+    paths = [out] + [out.with_suffix(suffix) for suffix in suffixes]
     for p in paths:
-        if Path(p).exists() and not force:
+        if p.exists() and not opts["force"]:
             raise UsageError(f"output {p} exists; pass --force to overwrite")
+    return paths
 
 
 def _write_manifest(out_path: Path, command: str, resolved: dict, outputs):
@@ -180,51 +240,55 @@ def _write_manifest(out_path: Path, command: str, resolved: dict, outputs):
     return path
 
 
+def _json_text(payload) -> str:
+    # a non-finite number raises ValueError (exit 2): a bare NaN is not JSON
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(_json_text(payload), encoding="utf-8")  # serialised before opening
+
+
+def _chains(where: str, run, *args, every=True, **kwargs) -> sampler.EmpiricalMeasure:
+    """``run(*args, **kwargs)``'s measure.  Exit 3 naming ``where`` if it
+    lost every chain or, with ``every``, any chain: a distance between
+    survivors is not the one asked for."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            measure = run(*args, **kwargs)
+    except sampler.DivergenceError as exc:
+        print(f"error at {where}: {exc}", file=sys.stderr)
+        raise DivergenceExit() from exc
+    lost = len(measure.meta["diverged_chains"])
+    if lost and every:
+        print(f"error at {where}: {lost} of {measure.meta['n_chains']} chains diverged",
+              file=sys.stderr)
+        raise DivergenceExit()
+    return measure
 
 
 # --- sample ---
 
 def cmd_sample(opts, explicit) -> int:
     lam, dim = opts["lambda"], opts["dim"]
-    if lam <= 0:
-        raise UsageError(f"--lambda must be positive (got {lam})")
-    if opts["beta"] <= 0 or opts["horizon"] <= 0 or opts["chains"] < 1 or dim < 1:
-        raise UsageError("beta, horizon must be positive; chains, dim must be >= 1")
-
     target = potentials.make_target(opts["target"], dim)
     lam_max, _ = constants_mod.step_size_limits_for_target(target)
     if lam > lam_max:
-        print(
-            f"warning: lambda={lam:g} exceeds the theoretical maximum step size "
-            f"{lam_max:g} for target {target.name!r}",
-            file=sys.stderr,
-        )
+        print(f"warning: lambda={lam:g} exceeds the theoretical maximum step size "
+              f"{lam_max:g} for target {target.name!r}", file=sys.stderr)
 
     cfg = sampler.SamplerConfig(
         lam=lam, beta=opts["beta"], d=dim, n_chains=opts["chains"], horizon=opts["horizon"],
         master_seed=opts["seed"], theta0=opts["theta0"], algorithm=opts["algorithm"],
     )
-    out_path = Path(opts["out"])
-    meta_path = out_path.with_suffix(".meta.json")
-    _check_overwrite([out_path, meta_path], opts["force"])
+    out_path, meta_path = _outputs(opts, ".meta.json")
 
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            measure = sampler.run_chains(cfg, target, n_workers=opts["workers"])
-    except sampler.DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise DivergenceExit() from exc
-
+    measure = _chains(f"lambda={lam:g}", sampler.run_chains, cfg, target, every=False,
+                      n_workers=opts["workers"])
     sampler.save_measure_csv(measure, out_path)
     manifest_path = _write_manifest(out_path, "sample", opts, [out_path, meta_path])
-    meta = dict(measure.meta)
-    meta["manifest"] = str(manifest_path)
-    _write_json(meta_path, meta)
+    _write_json(meta_path, {**measure.meta, "manifest": str(manifest_path)})
     n_div = len(measure.meta["diverged_chains"])
     print(f"wrote {out_path} ({measure.samples.shape[0]} chains x d={dim}"
           + (f", {n_div} diverged" if n_div else "") + ")")
@@ -270,9 +334,7 @@ def cmd_histogram(opts, explicit) -> int:
     analytic = np.asarray(density.pdf(hist.centers), dtype=float)
     ks = metrics.ks_statistic(first, density.cdf)
 
-    out_path = Path(opts["out"])
-    summary_path = out_path.with_suffix(".summary.json")
-    _check_overwrite([out_path, summary_path], opts["force"])
+    out_path, summary_path = _outputs(opts, ".summary.json")
     lines = ["bin_center,empirical_density,analytic_density"]
     for ctr, emp, ana in zip(hist.centers, hist.densities, analytic):
         lines.append(f"{repr(float(ctr))},{repr(float(emp))},{repr(float(ana))}")
@@ -293,36 +355,9 @@ def cmd_histogram(opts, explicit) -> int:
 
 # --- rate ---
 
-def _gaussian_exact_distance(lam: float, beta: float) -> float:
-    # per-coordinate W2 between the chain's stationary N(0, sigma^2) and
-    # the target N(0, 1/beta)
-    return abs(sampler.gaussian_chain_std(lam, beta) - 1.0 / np.sqrt(beta))
-
-
-def _every_chain(where: str, run, *args, **kwargs) -> sampler.EmpiricalMeasure:
-    """``run(*args, **kwargs)``'s measure; exit 3 naming ``where`` if it lost
-    any chain, since a distance between survivors is not the one asked for."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            measure = run(*args, **kwargs)
-    except sampler.DivergenceError as exc:
-        print(f"error at {where}: {exc}", file=sys.stderr)
-        raise DivergenceExit() from exc
-    lost = len(measure.meta["diverged_chains"])
-    if lost:
-        print(f"error at {where}: {lost} of {measure.meta['n_chains']} chains diverged",
-              file=sys.stderr)
-        raise DivergenceExit()
-    return measure
-
-
 def cmd_rate(opts, explicit) -> int:
     dim, beta, metric, analytic = opts["dim"], opts["beta"], opts["metric"], opts["analytic"]
-    grid = [float(x) for x in opts["grid"].split(",")]
-    if any(g <= 0 for g in grid) or len(grid) < 2:
-        raise UsageError("--grid needs at least two positive step sizes")
-    opts["grid"] = grid
+    grid = opts["grid"]
     target = potentials.make_target(opts["target"], dim)
 
     if metric == "gaussian-exact" and target.exact_draw is None:
@@ -346,7 +381,10 @@ def cmd_rate(opts, explicit) -> int:
 
     distances = []
     if analytic:
-        distances = [_gaussian_exact_distance(lam, beta) for lam in grid]
+        # per-coordinate W2 between the chain's stationary N(0, sigma^2)
+        # and the target N(0, 1/beta)
+        distances = [abs(sampler.gaussian_chain_std(lam, beta) - 1.0 / np.sqrt(beta))
+                     for lam in grid]
     else:
         seed, workers = opts["seed"], opts["workers"]
         if target.exact_draw is None:
@@ -355,24 +393,22 @@ def cmd_rate(opts, explicit) -> int:
                 opts["ref_fine_step"] = lam_max / 10.0
             if opts["ref_horizon"] is None:
                 opts["ref_horizon"] = min(opts["horizon"], 50.0)
-        reference = _every_chain(
+        b = _chains(
             "the reference", sampler.reference_measure, target, beta, master_seed=seed + 10_000,
             n_draws=opts["chains"], horizon=opts["ref_horizon"], fine_step=opts["ref_fine_step"],
             n_workers=workers,
-        )
-        b = reference.samples
+        ).samples
         for lam in grid:
             cfg = sampler.SamplerConfig(
                 lam=lam, beta=beta, d=dim, n_chains=opts["chains"], horizon=opts["horizon"],
                 master_seed=seed,
             )
-            a = _every_chain(f"lambda={lam:g}", sampler.run_chains, cfg, target,
-                             n_workers=workers).samples
+            a = _chains(f"lambda={lam:g}", sampler.run_chains, cfg, target,
+                        n_workers=workers).samples
+            p = 2 if metric.endswith("2") else 1
             if metric in ("w1", "w2", "gaussian-exact"):
-                p = 2 if metric == "w2" else 1
                 dist = metrics.wasserstein_1d(a[:, 0], b[:, 0], p=p)
             else:
-                p = 1 if metric == "sw1" else 2
                 dist = metrics.sliced_wasserstein(
                     a, b, p=p, n_proj=opts["n_proj"], stream=RngStream(seed + 20_000, 0),
                 )
@@ -380,17 +416,13 @@ def cmd_rate(opts, explicit) -> int:
 
     fit = metrics.fit_rate(grid, distances)
     if opts["out"] is not None:
-        out_path = Path(opts["out"])
-        fit_path = out_path.with_suffix(".fit.json")
-        _check_overwrite([out_path, fit_path], opts["force"])
+        out_path, fit_path = _outputs(opts, ".fit.json")
         lines = ["lambda,distance,metric"]
         for lam, dist in zip(grid, distances):
             lines.append(f"{repr(float(lam))},{repr(float(dist))},{metric}")
         out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         manifest_path = _write_manifest(out_path, "rate", opts, [out_path, fit_path])
-        payload = fit.to_dict()
-        payload["manifest"] = str(manifest_path)
-        _write_json(fit_path, payload)
+        _write_json(fit_path, {**fit.to_dict(), "manifest": str(manifest_path)})
     print(f"fitted slope {fit.slope:.4f} (r^2 = {fit.r_squared:.4f})")
     return 0
 
@@ -399,11 +431,7 @@ def cmd_rate(opts, explicit) -> int:
 
 def cmd_constants(opts, explicit) -> int:
     dim, beta = opts["dim"], opts["beta"]
-    if beta <= 0 or dim < 1:
-        raise UsageError("beta must be positive and dim >= 1")
     target = potentials.make_target(opts["target"], dim)
-    if opts["p_list"] is not None:
-        opts["p_list"] = [int(x) for x in opts["p_list"].split(",")]
 
     v2 = v2_err = None
     if opts["v2_method"] != "none":
@@ -417,47 +445,21 @@ def cmd_constants(opts, explicit) -> int:
     )
     report = dc.to_report()
     if opts["out"] is not None:
-        out_path = Path(opts["out"])
-        _check_overwrite([out_path], opts["force"])
+        out_path, = _outputs(opts)
         report["manifest"] = str(_write_manifest(out_path, "constants", opts, [out_path]))
         _write_json(out_path, report)
         print(f"wrote {out_path}")
     else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
+        sys.stdout.write(_json_text(report))
     return 0
 
 
 # --- check ---
 
-def _parse_overrides(pairs):
-    out = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise UsageError(f"--override expects NAME=VALUE, got {pair!r}")
-        name, raw = pair.split("=", 1)
-        name = name.strip()
-        try:
-            value = int(raw) if name in ("r", "nu") else float(raw)
-        except ValueError as exc:
-            raise UsageError(f"bad override value {raw!r} for {name}") from exc
-        out[name] = value
-    return out
-
-
 def cmd_check(opts, explicit) -> int:
     dim, points, radius, seed = opts["dim"], opts["points"], opts["radius"], opts["seed"]
-    if points < 1:
-        raise UsageError("--points must be >= 1")
-    if radius <= 0:
-        raise UsageError("--radius must be positive")
-    target = potentials.make_target(opts["target"], dim)
-    overrides = opts["override"] = _parse_overrides(opts["override"])
-    if overrides:
-        try:
-            target = potentials.override_constants(target, **overrides)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    overrides = opts["override"]
+    target = potentials.override_constants(potentials.make_target(opts["target"], dim), **overrides)
 
     reports = [
         potentials.check_assumption_2(target, points, radius, RngStream(seed, 0)),
@@ -480,8 +482,7 @@ def cmd_check(opts, explicit) -> int:
         "checks": [r.to_dict() for r in reports],
     }
     if opts["out"] is not None:
-        out_path = Path(opts["out"])
-        _check_overwrite([out_path], opts["force"])
+        out_path, = _outputs(opts)
         payload["manifest"] = str(_write_manifest(out_path, "check", opts, [out_path]))
         _write_json(out_path, payload)
     for r in reports:
@@ -509,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
     for cmd, (func, help_text) in COMMANDS.items():
         p = sub.add_parser(cmd, help=help_text)
-        # every default is None, so the resolver can tell a flag was given
+        # every default is None (--override's is {}), so the resolver can
+        # tell a flag was given
         for name, kwargs, _ in command_options(cmd):
             p.add_argument(f"--{name}", default=None, **kwargs)
         p.set_defaults(func=func, parser=p)
@@ -520,12 +522,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(*_resolve(args))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DivergenceExit:
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # a UsageError, or a value a library call refuses
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

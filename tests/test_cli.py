@@ -21,6 +21,15 @@ def run(argv):
     return main(argv)
 
 
+def exit_code(argv):
+    """``main``'s exit code, also where argparse rejects a value by
+    raising ``SystemExit``."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestSample:
     def test_writes_outputs(self, tmp_path):
         out = tmp_path / "g.csv"
@@ -44,7 +53,7 @@ class TestSample:
         assert meta["manifest"].endswith("g.csv.manifest.json")
 
     def test_negative_lambda_exit_2(self, tmp_path):
-        code = run([
+        code = exit_code([
             "sample", "--target", "gaussian", "--lambda", "-1",
             "--out", str(tmp_path / "x.csv"),
         ])
@@ -357,7 +366,7 @@ class TestRate:
         ]) == 2
 
     def test_bad_grid(self, tmp_path):
-        assert run([
+        assert exit_code([
             "rate", "--target", "gaussian", "--dim", "1", "--grid", "0.1,-0.2",
             "--out", str(tmp_path / "r.csv"),
         ]) == 2
@@ -403,7 +412,7 @@ class TestConstants:
         assert exc.value.code == 2
 
     def test_bad_beta(self):
-        assert run(["constants", "--target", "gaussian", "--beta", "-1"]) == 2
+        assert exit_code(["constants", "--target", "gaussian", "--beta", "-1"]) == 2
 
     def test_rejects_ignored_flags(self):
         with pytest.raises(SystemExit) as exc:
@@ -444,17 +453,56 @@ class TestCheck:
         assert all(len(c["violations"]) == min(c["n_violations"], 10) for c in checks)
 
     def test_points_validation(self):
-        assert run(["check", "--target", "gaussian", "--points", "0"]) == 2
+        assert exit_code(["check", "--target", "gaussian", "--points", "0"]) == 2
 
     def test_bad_override(self):
-        assert run(["check", "--target", "gaussian", "--override", "L"]) == 2
-        assert run(["check", "--target", "gaussian", "--override", "name=x"]) == 2
+        assert exit_code(["check", "--target", "gaussian", "--override", "L"]) == 2
+        assert exit_code(["check", "--target", "gaussian", "--override", "name=x"]) == 2
 
     def test_rejects_ignored_flags(self):
         for flag, value in (("--beta", "7"), ("--preset", "desk"), ("--config", "cfg.json")):
             with pytest.raises(SystemExit) as exc:
                 run(["check", "--target", "gaussian", "--points", "100", flag, value])
             assert exc.value.code == 2, flag
+
+
+class TestOutOfDomainRegressions:
+    # each of these once exited 0 with a wrong answer, crashed, or named no option
+    @pytest.mark.parametrize("line, name", [
+        ("rate --target gaussian --dim 1 --metric gaussian-exact --analytic --beta -1 "
+         "--grid 0.2,0.1", "beta"),
+        ("constants --target gaussian --v2-method mc --v2-draws 1", "v2-draws"),
+        ("constants --target gaussian --v2-method mc --v2-draws 0", "v2-draws"),
+        ("check --target double-well --dim 10 --points 1000 --override L=0.01 --radius nan",
+         "radius"),
+        ("check --target double-well --dim 10 --points 1000 --override L=0.01 --radius inf",
+         "radius"),
+        ("check --target gaussian --points 10 --override L=nan", "override"),
+        ("rate --target gaussian --dim 1 --metric gaussian-exact --analytic --grid 0.2,0.2",
+         "grid"),
+        ("sample --target gaussian --dim 2 --chains 2 --lambda 0.1 --horizon inf", "horizon"),
+        ("sample --target gaussian --dim 2 --chains 2 --lambda nan --horizon 1", "lambda"),
+        ("constants --target gaussian --dim 2 --p-list=-3,4", "p-list"),
+        ("sample --target gaussian --dim 2 --chains 2 --lambda 0.1 --horizon 1 --workers 0",
+         "workers"),
+    ])
+    def test_exits_2_naming_the_option(self, tmp_path, capsys, line, name):
+        out = tmp_path / "out"
+        assert exit_code(line.split() + ["--out", str(out)]) == 2
+        assert f"argument --{name}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_payload_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a NaN in a payload is refused before the file is opened, not
+        # written as a bare NaN token
+        monkeypatch.setattr(sampler, "estimate_v2_integral", lambda *a, **k: (11.0, float("nan")))
+        out = tmp_path / "c.json"
+        argv = ["constants", "--target", "gaussian", "--dim", "2"]
+        assert exit_code(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        capsys.readouterr()
+        assert exit_code(argv) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestManifest:
@@ -472,11 +520,28 @@ class TestManifest:
         assert versions[0] == versions[1]
 
 
+IN_DOMAIN = {"grid": "0.2,0.1", "override": "L=1", "v2-draws": "2"}
+
+# Values outside each numeric or list option's domain.
+OUT_OF_DOMAIN = {
+    **dict.fromkeys(("lambda", "beta", "horizon", "radius", "ref-fine-step", "ref-horizon"),
+                    ("0", "-1", "nan", "inf")),
+    **dict.fromkeys(("theta0", "range"), ("nan", "inf", "-inf")),
+    **dict.fromkeys(("dim", "chains", "workers", "bins", "n-proj", "points"),
+                    ("0", "-1", "nan", "inf", "1.5")),
+    "v2-draws": ("1", "0", "nan", "inf"),
+    "seed": ("-1", "nan", "inf"),
+    "grid": ("0.1", "0.1,0.1", "0.1,0", "0.1,-1", "0.1,nan", "0.1,inf", "0.1,x"),
+    "p-list": ("-1", "2,-3", "1.5", "nan", "inf"),
+    "override": ("L=nan", "L=inf", "L", "r=1.5", "nu=nan", "L=x"),
+}
+
+
 def _flag_argv(name, kwargs):
     """A valid command-line setting of the option ``name``."""
     if kwargs.get("action") == "store_true":
         return [f"--{name}"]
-    value = str(kwargs["choices"][0]) if "choices" in kwargs else "1"
+    value = str(kwargs["choices"][0]) if "choices" in kwargs else IN_DOMAIN.get(name, "1")
     return [f"--{name}"] + [value] * kwargs.get("nargs", 1)
 
 
@@ -546,6 +611,52 @@ class TestOptionTable:
             for key in set(rows) - given - derived.get(cmd, set()):
                 assert cfg[key] == rows[key], (cmd, key)
         assert cfg["override"] == {}
+
+    def test_every_row_has_a_domain(self):
+        # a bare float or int would accept nan, inf or a negative count
+        for name, kwargs, _ in cli.OPTIONS:
+            assert kwargs.get("type") not in (float, int), name
+
+    def test_defaults_lie_in_their_domains(self):
+        for name, kwargs, defaults in cli.OPTIONS:
+            for default in defaults.values():
+                if "type" in kwargs and default not in (None, cli.REQUIRED):
+                    kwargs["type"](str(default))
+
+    def test_out_of_domain_values_exit_2(self, tmp_path, capsys):
+        # from a flag and from a config file alike, with the option named
+        assert set(OUT_OF_DOMAIN) == {n for n, k, _ in cli.OPTIONS if "type" in k}
+        cfg = tmp_path / "cfg.json"
+
+        def refused(argv, name):
+            return exit_code(argv) == 2 and f"argument --{name}:" in capsys.readouterr().err
+
+        for cmd in cli.COMMANDS:
+            takes_config = any(n == "config" for n, _, _ in cli.command_options(cmd))
+            for name, kwargs, _ in cli.command_options(cmd):
+                for value in OUT_OF_DOMAIN.get(name, ()):
+                    flag = [f"--{name}"] + [value] * kwargs.get("nargs", 1)
+                    assert refused([cmd] + flag, name), (cmd, flag)
+                    if not takes_config:
+                        continue
+                    # the value as a JSON string and, where it reads as one,
+                    # as a JSON number (NaN and Infinity included)
+                    forms = [value]
+                    try:
+                        forms.append(float(value))
+                    except ValueError:
+                        pass
+                    for form in forms:
+                        cfg.write_text(json.dumps({name: form}))
+                        assert refused([cmd, "--config", str(cfg)], name), (cmd, name, form)
+
+    def test_preset_values_are_checked(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(cli.PRESETS, "desk", {"dim": 0, "chains": 500})
+        out = tmp_path / "p.csv"
+        assert exit_code(["sample", "--target", "gaussian", "--lambda", "0.1", "--preset", "desk",
+                          "--horizon", "0.5", "--out", str(out)]) == 2
+        assert "argument --dim:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_readme_table_matches_code(self):
         def cell(default):
