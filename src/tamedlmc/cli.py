@@ -228,16 +228,19 @@ def _outputs(opts, *suffixes) -> list:
     return paths
 
 
+def _manifest_path(out_path: Path) -> Path:
+    return out_path.with_suffix(out_path.suffix + ".manifest.json")
+
+
 def _write_manifest(out_path: Path, command: str, resolved: dict, outputs):
-    path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    _write_json(path, {
+    """Written last, once every output it names is on disk."""
+    _write_json(_manifest_path(out_path), {
         "command": command,
         "resolved_config": resolved,
         "version": _version_stamp(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [str(o) for o in outputs],
     })
-    return path
 
 
 def _json_text(payload) -> str:
@@ -286,9 +289,10 @@ def cmd_sample(opts, explicit) -> int:
 
     measure = _chains(f"lambda={lam:g}", sampler.run_chains, cfg, target, every=False,
                       n_workers=opts["workers"])
+    meta_text = _json_text({**measure.meta, "manifest": str(_manifest_path(out_path))})
     sampler.save_measure_csv(measure, out_path)
-    manifest_path = _write_manifest(out_path, "sample", opts, [out_path, meta_path])
-    _write_json(meta_path, {**measure.meta, "manifest": str(manifest_path)})
+    meta_path.write_text(meta_text, encoding="utf-8")
+    _write_manifest(out_path, "sample", opts, [out_path, meta_path])
     n_div = len(measure.meta["diverged_chains"])
     print(f"wrote {out_path} ({measure.samples.shape[0]} chains x d={dim}"
           + (f", {n_div} diverged" if n_div else "") + ")")
@@ -335,20 +339,21 @@ def cmd_histogram(opts, explicit) -> int:
     ks = metrics.ks_statistic(first, density.cdf)
 
     out_path, summary_path = _outputs(opts, ".summary.json")
-    lines = ["bin_center,empirical_density,analytic_density"]
-    for ctr, emp, ana in zip(hist.centers, hist.densities, analytic):
-        lines.append(f"{repr(float(ctr))},{repr(float(emp))},{repr(float(ana))}")
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    manifest_path = _write_manifest(out_path, "histogram", opts, [out_path, summary_path])
-    _write_json(summary_path, {
+    summary_text = _json_text({
         "ks_statistic": ks,
         "n_samples": int(first.size),
         "inside_fraction": hist.inside_fraction,
         "target": target.name,
         "normalization_check": density.normalization_check,
         "source_meta": meta,
-        "manifest": str(manifest_path),
+        "manifest": str(_manifest_path(out_path)),
     })
+    lines = ["bin_center,empirical_density,analytic_density"]
+    for ctr, emp, ana in zip(hist.centers, hist.densities, analytic):
+        lines.append(f"{repr(float(ctr))},{repr(float(emp))},{repr(float(ana))}")
+    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    summary_path.write_text(summary_text, encoding="utf-8")
+    _write_manifest(out_path, "histogram", opts, [out_path, summary_path])
     print(f"wrote {out_path} (KS statistic {ks:.4f})")
     return 0
 
@@ -387,6 +392,10 @@ def cmd_rate(opts, explicit) -> int:
                      for lam in grid]
     else:
         seed, workers = opts["seed"], opts["workers"]
+        # built first, so a step count that overflows exits 2 before any chain runs
+        configs = [sampler.SamplerConfig(lam=lam, beta=beta, d=dim, n_chains=opts["chains"],
+                                         horizon=opts["horizon"], master_seed=seed)
+                   for lam in grid]
         if target.exact_draw is None:
             lam_max, _ = constants_mod.step_size_limits_for_target(target)
             if opts["ref_fine_step"] is None:
@@ -398,12 +407,8 @@ def cmd_rate(opts, explicit) -> int:
             n_draws=opts["chains"], horizon=opts["ref_horizon"], fine_step=opts["ref_fine_step"],
             n_workers=workers,
         ).samples
-        for lam in grid:
-            cfg = sampler.SamplerConfig(
-                lam=lam, beta=beta, d=dim, n_chains=opts["chains"], horizon=opts["horizon"],
-                master_seed=seed,
-            )
-            a = _chains(f"lambda={lam:g}", sampler.run_chains, cfg, target,
+        for cfg in configs:
+            a = _chains(f"lambda={cfg.lam:g}", sampler.run_chains, cfg, target,
                         n_workers=workers).samples
             p = 2 if metric.endswith("2") else 1
             if metric in ("w1", "w2", "gaussian-exact"):
@@ -417,12 +422,13 @@ def cmd_rate(opts, explicit) -> int:
     fit = metrics.fit_rate(grid, distances)
     if opts["out"] is not None:
         out_path, fit_path = _outputs(opts, ".fit.json")
+        fit_text = _json_text({**fit.to_dict(), "manifest": str(_manifest_path(out_path))})
         lines = ["lambda,distance,metric"]
         for lam, dist in zip(grid, distances):
             lines.append(f"{repr(float(lam))},{repr(float(dist))},{metric}")
         out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        manifest_path = _write_manifest(out_path, "rate", opts, [out_path, fit_path])
-        _write_json(fit_path, {**fit.to_dict(), "manifest": str(manifest_path)})
+        fit_path.write_text(fit_text, encoding="utf-8")
+        _write_manifest(out_path, "rate", opts, [out_path, fit_path])
     print(f"fitted slope {fit.slope:.4f} (r^2 = {fit.r_squared:.4f})")
     return 0
 
@@ -446,8 +452,8 @@ def cmd_constants(opts, explicit) -> int:
     report = dc.to_report()
     if opts["out"] is not None:
         out_path, = _outputs(opts)
-        report["manifest"] = str(_write_manifest(out_path, "constants", opts, [out_path]))
-        _write_json(out_path, report)
+        _write_json(out_path, {**report, "manifest": str(_manifest_path(out_path))})
+        _write_manifest(out_path, "constants", opts, [out_path])
         print(f"wrote {out_path}")
     else:
         sys.stdout.write(_json_text(report))
@@ -483,8 +489,8 @@ def cmd_check(opts, explicit) -> int:
     }
     if opts["out"] is not None:
         out_path, = _outputs(opts)
-        payload["manifest"] = str(_write_manifest(out_path, "check", opts, [out_path]))
-        _write_json(out_path, payload)
+        _write_json(out_path, {**payload, "manifest": str(_manifest_path(out_path))})
+        _write_manifest(out_path, "check", opts, [out_path])
     for r in reports:
         status = "ok" if r.ok else f"{len(r.violations)} violation(s)"
         print(f"{target.name}: {r.assumption}: {status}")

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from mpmath import mp, mpf
-from scipy import integrate
 
 from .numerics import RngStream
 from .potentials import CheckReport, TargetSpec, _uniform_in_ball, _violation, operator_norm
@@ -210,23 +209,20 @@ def _v_of_mv(p: int, drift: dict) -> mpf:
 
 def log_contraction_integral(beta: float, L_bar: float, R1_bar: float) -> float:
     """Natural log of I = int_0^{R1_bar} exp{(s sqrt(beta L_bar / 8) +
-    sqrt(8/(beta L_bar)))^2} ds, evaluated with the peak factored out so
-    the working integrand stays in double range."""
+    sqrt(8/(beta L_bar)))^2} ds, evaluated with the peak factored out and
+    by mpmath's quadrature split where the mass concentrates."""
     alpha = math.sqrt(beta * L_bar / 8.0)
     gamma = math.sqrt(8.0 / (beta * L_bar))
     top = (alpha * R1_bar + gamma) ** 2
 
     def g(s):
-        return math.exp((alpha * s + gamma) ** 2 - top)
+        return mp.exp((alpha * s + gamma) ** 2 - top)
 
     # mass concentrates at the right endpoint on a scale 1/g'(R1_bar)
     width = 1.0 / max(2.0 * alpha * (alpha * R1_bar + gamma), 1e-12)
     pts = sorted({max(0.0, R1_bar - k * width) for k in (1.0, 5.0, 25.0)})
-    val, _ = integrate.quad(
-        g, 0.0, R1_bar, points=[p for p in pts if 0.0 < p < R1_bar],
-        limit=400, epsabs=0.0, epsrel=1e-13,
-    )
-    return top + math.log(val)
+    val = mp.quad(g, [0.0] + [p for p in pts if 0.0 < p < R1_bar] + [R1_bar])
+    return top + float(mp.log(val))
 
 
 def derive_contraction_constants(target: TargetSpec, beta: float, d: int) -> dict:

@@ -19,11 +19,13 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import expit
 
 from . import metrics
-from .numerics import RngStream, log_gamma, integrate_semi_infinite, normal_cdf
+# integrate_semi_infinite is bound here, unused, for the benchmark's traced
+# run, which wraps it under this module's name
+from .numerics import (
+    RngStream, gauss_legendre, integrate_semi_infinite, log_gamma, normal_cdf, panel_rule,
+)
 
 
 def row_norm_sq(theta: np.ndarray) -> np.ndarray:
@@ -116,19 +118,24 @@ def _mixture_u(theta, a_dot):
     return 0.5 * row_norm_sq(diff) - np.logaddexp(0.0, -2.0 * dot)
 
 
+def _logistic(z):
+    # 1 / (1 + e^{-z}), overflow-safe for any z
+    return np.exp(-np.logaddexp(0.0, -z))
+
+
 def _mixture_h(theta, a_dot):
     theta = np.asarray(theta, dtype=float)
     # reduction order independent of batch shape: masked, full-batch and
     # single-point updates agree bit for bit
     dot = np.einsum("...i,i->...", theta, a_dot)
-    w = expit(-2.0 * dot)  # = 1 / (1 + e^{2<a,theta>}), overflow-safe
+    w = _logistic(-2.0 * dot)  # = 1 / (1 + e^{2<a,theta>})
     return theta - a_dot + 2.0 * np.multiply.outer(w, a_dot)
 
 
 def _mixture_hess(theta, a_dot):
     theta = np.asarray(theta, dtype=float)
     x = 2.0 * float(np.sum(theta * a_dot))
-    s = 4.0 * expit(x) * expit(-x)  # 4 e^x / (1 + e^x)^2
+    s = 4.0 * _logistic(x) * _logistic(-x)  # 4 e^x / (1 + e^x)^2
     return np.eye(a_dot.size) - s * np.outer(a_dot, a_dot)
 
 
@@ -140,11 +147,10 @@ def _mixture_second_moment(beta, d, a_norm):
             -0.5 * beta * (u - a_norm) ** 2 + beta * np.logaddexp(0.0, -2.0 * a_norm * u)
         )
 
-    lo, hi = -a_norm - 40.0 / math.sqrt(beta), a_norm + 40.0 / math.sqrt(beta)
-    pts = [-a_norm, 0.0, a_norm]
-    z, _ = quad(g, lo, hi, points=pts, limit=200)
-    m2, _ = quad(lambda u: u * u * g(u), lo, hi, points=pts, limit=200)
-    return m2 / z + (d - 1) / beta
+    reach = 40.0 / math.sqrt(beta)
+    u, w = panel_rule([-a_norm - reach, -a_norm, 0.0, a_norm, a_norm + reach])
+    mass = w * g(u)
+    return float(mass @ (u * u) / np.sum(mass)) + (d - 1) / beta
 
 
 def _double_well_u(theta):
@@ -166,15 +172,10 @@ def _double_well_hess(theta):
 
 
 def _double_well_second_moment(beta, d):
-    # E|theta|^2 from the radial law rho^{d-1} exp{-beta(rho^4/4 - rho^2/2)}
-    def log_radial(extra):
-        def log_f(rho):
-            return (d - 1 + extra) * np.log(rho) - beta * (0.25 * rho**4 - 0.5 * rho**2)
-
-        hint = math.sqrt((beta + math.sqrt(beta**2 + 4.0 * beta * (d - 1 + extra))) / (2.0 * beta))
-        return _log_integral_peaked(log_f, hint)
-
-    return float(np.exp(log_radial(2) - log_radial(0)))
+    # E|theta|^2 = the radial law rho^{d-1} exp{-beta(rho^4/4 - rho^2/2)}'s
+    # integral of rho^{d+1} over its integral of rho^{d-1}
+    log_m2 = _double_well_log_radial(d + 3, beta) - _double_well_log_radial(d + 1, beta)
+    return float(np.exp(log_m2))
 
 
 def make_gaussian(d: int) -> TargetSpec:
@@ -203,7 +204,7 @@ def make_gaussian_mixture(d: int, a_dot: np.ndarray | None = None) -> TargetSpec
     (default: ``default_mixture_center(d)``).
 
     U = |theta - a_dot|^2 / 2 - log(1 + exp(-2 <a_dot, theta>)); the
-    logistic term is evaluated through expit/logaddexp so the gradient
+    logistic term is evaluated through logaddexp so the gradient
     stays finite for arbitrarily large |<a_dot, theta>|.
     """
     a_dot = np.asarray(default_mixture_center(d) if a_dot is None else a_dot, dtype=float)
@@ -298,46 +299,6 @@ class MarginalDensity:
     normalization_check: float
 
 
-def _golden_section_max(f, lo: float, hi: float, iters: int = 80) -> float:
-    """Abscissa of the maximum of a unimodal f on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d_ = a + invphi * (b - a)
-    fc, fd = f(c), f(d_)
-    for _ in range(iters):
-        if fc > fd:
-            b, d_, fd = d_, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + invphi * (b - a)
-            fd = f(d_)
-        if b - a < 1e-12 * (1.0 + abs(a)):
-            break
-    return 0.5 * (a + b)
-
-
-def _log_integral_peaked(log_f, peak_hint: float) -> float:
-    """log of the semi-infinite integral of exp(log_f), peak-shifted so the
-    working integrand stays within double range."""
-    if peak_hint > 0:
-        r_peak = _golden_section_max(log_f, peak_hint / 8.0, 8.0 * peak_hint + 1.0)
-        shift = log_f(r_peak)
-    else:
-        # no interior maximum: integrand decreasing from the origin
-        shift = max(log_f(1e-8), log_f(1.0))
-
-    def g(r):
-        if r <= 0.0:
-            return 0.0
-        return float(np.exp(log_f(r) - shift))
-
-    res = integrate_semi_infinite(g, truncation_tol=1e-16)
-    return shift + float(np.log(res.value))
-
-
 # Gauss-Legendre order of the double-well marginal's fixed rule.  Against
 # adaptive quadrature the rule reaches rounding level (~2e-13 in log) from
 # 40 nodes for every d in 2..1000; 64 leaves a margin.
@@ -350,41 +311,39 @@ _WINDOW_DROP = 45.0
 _MARGINAL_BLOCK = 1024
 
 
-@functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _double_well_log_numerators(d: int, x2: np.ndarray) -> np.ndarray:
-    """log of the integral over r > 0 of r^{(d-3)/2} exp{-(r + x^2)^2/4 +
-    (r + x^2)/2}, for each entry of a 1-D array of x^2.
+def _double_well_log_numerators(d: int, x2: np.ndarray, beta: float = 1.0) -> np.ndarray:
+    """log of the integral over r > 0 of r^{(d-3)/2} exp{-beta((r + x^2)^2/4
+    - (r + x^2)/2)}, for each entry of a 1-D array of x^2.
 
     In the substituted variable s = r^{1/2} the integrand is
-    2 s^{d-2} exp(-q^2/4 + q/2) with q = s^2 + x^2, smooth on [0, inf)
-    since d - 2 is a non-negative integer.  One Gauss-Legendre rule is
-    placed per row on a window around the peak, sized by the curvature of
-    the log-integrand there and clipped at s = 0, and summed in log space.
+    2 s^{d-2} exp{-beta(q^2/4 - q/2)} with q = s^2 + x^2, smooth on
+    [0, inf) since d - 2 is a non-negative integer.  One Gauss-Legendre
+    rule is placed per row on a window around the peak, sized by the
+    curvature of the log-integrand there and clipped at s = 0, and summed
+    in log space.
     """
-    nodes, weights = _gauss_legendre(_MARGINAL_NODES)
-    # peak: u^2 + (x2 - 1) u - (d - 2) = 0 with u = s^2, solved without
-    # cancellation on either side of x2 = 1; u = 0 only when d = 2 and
-    # x2 >= 1, where the (d - 2) / u term is absent
+    nodes, weights = gauss_legendre(_MARGINAL_NODES)
+    # peak: u^2 + (x2 - 1) u - (d - 2) / beta = 0 with u = s^2, solved
+    # without cancellation on either side of x2 = 1; u = 0 only when d = 2
+    # and x2 >= 1, where the (d - 2) / u term is absent
     b = x2 - 1.0
-    disc = np.hypot(b, 2.0 * np.sqrt(d - 2.0))
-    u = np.divide(2.0 * (d - 2), b + disc, out=0.5 * (disc - b), where=b > 0.0)
+    disc = np.hypot(b, 2.0 * np.sqrt((d - 2) / beta))
+    u = np.divide(2.0 * (d - 2) / beta, b + disc, out=0.5 * (disc - b), where=b > 0.0)
     peak = np.sqrt(u)
     q_peak = u + x2
-    kappa = (d - 2) / np.maximum(u, np.finfo(float).tiny) + x2 + 3.0 * u - 1.0
-    # half-width t solving kappa t^2 / 2 + t^4 / 4 = _WINDOW_DROP
-    width = np.sqrt(4.0 * _WINDOW_DROP / (np.hypot(kappa, 2.0 * np.sqrt(_WINDOW_DROP)) + kappa))
+    # (d - 2) / u + beta (x2 + 3u - 1), expanded so that beta = 1 rounds alike
+    kappa = (d - 2) / np.maximum(u, np.finfo(float).tiny) + beta * x2 + 3.0 * beta * u - beta
+    # half-width t solving kappa t^2 / 2 + beta t^4 / 4 = _WINDOW_DROP
+    width = np.sqrt(4.0 * _WINDOW_DROP
+                    / (np.hypot(kappa, 2.0 * np.sqrt(beta * _WINDOW_DROP)) + kappa))
     lo = np.maximum(peak - width, 0.0)
     half = 0.5 * (peak + width - lo)
     s = (lo + half)[:, None] + half[:, None] * nodes
     # the log-integrand relative to its value at the peak, in a form free
     # of cancellation between large terms at large x^2 or d
     dq = (s - peak[:, None]) * (s + peak[:, None])
-    rel = -0.25 * dq * (dq + 2.0 * q_peak[:, None] - 2.0)
-    log_peak = -0.25 * q_peak * q_peak + 0.5 * q_peak
+    rel = -0.25 * beta * dq * (dq + 2.0 * q_peak[:, None] - 2.0)
+    log_peak = beta * (-0.25 * q_peak * q_peak + 0.5 * q_peak)
     if d > 2:
         rel += (d - 2) * np.log(s / peak[:, None])
         log_peak += (d - 2) * np.log(peak)
@@ -392,19 +351,16 @@ def _double_well_log_numerators(d: int, x2: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _double_well_log_denominator(d: int) -> float:
-    # log of \int_0^inf r^{d/2 - 1} exp{-r^2/4 + r/2} dr with r = s^2
-    def log_f(s):
-        return np.log(2.0) + (d - 1) * np.log(s) - 0.25 * s**4 + 0.5 * s * s
-
-    hint = np.sqrt(0.5 * (1.0 + np.sqrt(1.0 + 4.0 * (d - 1))))
-    return _log_integral_peaked(log_f, hint)
+def _double_well_log_radial(n: int, beta: float) -> float:
+    # log of \int_0^inf 2 s^{n-2} exp{-beta(s^4/4 - s^2/2)} ds, the rule above at
+    # x^2 = 0: the radial integral of rho^{n-2} under the d-dimensional law
+    return float(_double_well_log_numerators(n, np.zeros(1), beta)[0])
 
 
 def _double_well_marginal_pdf(x, d: int):
     # the normalizer is computed on the first call for each d, then cached
     x = np.asarray(x, dtype=float)
-    log_den = _double_well_log_denominator(d)
+    log_den = _double_well_log_radial(d + 1, 1.0)
     if d == 1:
         # the first marginal is the whole law exp(-U(x)) / Z
         return np.exp(-_double_well_u(x[..., None]) - log_den)

@@ -66,6 +66,8 @@ class SamplerConfig:
             raise ValueError("inverse temperature beta must be positive")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        if not math.isfinite(self.horizon / self.lam):
+            raise ValueError(f"horizon / lambda = {self.horizon:g} / {self.lam:g} is not finite")
         if self.n_chains < 1:
             raise ValueError("n_chains must be >= 1")
         if self.d < 1:

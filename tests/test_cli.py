@@ -494,15 +494,27 @@ class TestOutOfDomainRegressions:
 
     def test_non_finite_payload_exit_2(self, tmp_path, monkeypatch, capsys):
         # a NaN in a payload is refused before the file is opened, not
-        # written as a bare NaN token
+        # written as a bare NaN token; nor is a manifest naming that file
         monkeypatch.setattr(sampler, "estimate_v2_integral", lambda *a, **k: (11.0, float("nan")))
         out = tmp_path / "c.json"
         argv = ["constants", "--target", "gaussian", "--dim", "2"]
         assert exit_code(argv + ["--out", str(out)]) == 2
         assert not out.exists()
+        assert not (tmp_path / "c.json.manifest.json").exists()
         capsys.readouterr()
         assert exit_code(argv) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("line", [
+        "sample --target gaussian --dim 2 --chains 2 --lambda 1e-320 --horizon 1",
+        "rate --target gaussian --dim 2 --chains 2 --grid 1e-320,0.1 --horizon 1",
+    ])
+    def test_step_count_overflow_exit_2(self, tmp_path, capsys, line):
+        # horizon / lambda overflows to inf: refused, not an OverflowError
+        out = tmp_path / "tiny.csv"
+        assert exit_code(line.split() + ["--out", str(out)]) == 2
+        assert "is not finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestManifest:

@@ -12,6 +12,7 @@ from tamedlmc.constants import (
     derive_bar_constants,
     derive_constants,
     derive_lipschitz_constants,
+    log_contraction_integral,
     step_size_limits,
 )
 
@@ -148,6 +149,28 @@ class TestSpotValues:
         assert dc.C1 is not None and dc.C1 == mp.inf  # degenerate r = 0
         dw = derive_constants(make_double_well(3), beta=1.0, d=3, v2_integral=4.0)
         assert dw.C1 is not None and dw.C1 < mp.inf
+
+
+def quad_log_contraction_integral(beta, L_bar, R1_bar):
+    # the contraction integral by adaptive double-precision quadrature,
+    # split where the mass concentrates
+    from scipy.integrate import quad
+
+    alpha, gamma = math.sqrt(beta * L_bar / 8.0), math.sqrt(8.0 / (beta * L_bar))
+    top = (alpha * R1_bar + gamma) ** 2
+    width = 1.0 / (2.0 * alpha * (alpha * R1_bar + gamma))
+    pts = [p for p in (R1_bar - k * width for k in (1.0, 5.0, 25.0)) if 0.0 < p < R1_bar]
+    val = quad(lambda s: math.exp((alpha * s + gamma) ** 2 - top), 0.0, R1_bar, points=pts,
+               limit=400, epsabs=0.0, epsrel=1e-13)[0]
+    return top + math.log(val)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("L_bar", [1.0, 3.0, 17.0, 100.0])
+@pytest.mark.parametrize("R1_bar", [0.5, 2.0, 5.0, 20.0])
+def test_contraction_integral_matches_adaptive_quadrature(beta, L_bar, R1_bar):
+    expect = quad_log_contraction_integral(beta, L_bar, R1_bar)
+    assert abs(log_contraction_integral(beta, L_bar, R1_bar) - expect) <= 1e-12 * abs(expect)
 
 
 class TestSecondPathAgreement:

@@ -82,6 +82,28 @@ class TestLogGamma:
             with pytest.raises(ValueError):
                 log_gamma(bad)
 
+    def test_scipy_oracle(self):
+        from scipy.special import gammaln
+
+        xs = np.linspace(0.5, 200.0, 10_001)
+        got = np.array([log_gamma(x) for x in xs])
+        expect = gammaln(xs)
+        assert np.all(np.abs(got - expect) <= 1e-15 * np.maximum(1.0, np.abs(expect)))
+
+
+class TestNormalCdf:
+    def test_scipy_oracle(self):
+        from scipy.special import ndtr
+
+        xs = np.concatenate([RngStream(5, 0).normal(100_000) * 3.0,
+                             np.linspace(-40.0, 40.0, 8001)])
+        assert np.max(np.abs(normal_cdf(xs) - ndtr(xs))) <= 1e-14
+
+    def test_shapes(self):
+        assert type(normal_cdf(0.0)) is np.float64 and normal_cdf(0.0) == 0.5
+        assert normal_cdf(np.zeros((2, 3))).shape == (2, 3)
+        assert normal_cdf(np.empty(0)).shape == (0,)
+
 
 class TestIntegrateSemiInfinite:
     def test_exponential(self):

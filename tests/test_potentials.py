@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import expit, gammaln
 
 from tamedlmc import potentials
 from tamedlmc.metrics import marginal_support
@@ -96,12 +96,15 @@ class TestBuiltins:
         assert (back.exact_draw is None) == (name != "gaussian")
 
     def test_building_does_no_quadrature(self, monkeypatch):
+        # normalizers and moments are computed on first use, not per target
         def refuse(*args, **kwargs):
             raise AssertionError("quadrature while building a target")
 
-        monkeypatch.setattr(potentials, "integrate_semi_infinite", refuse)
-        t = make_double_well(137)
-        assert t.marginal is not None and t.second_moment is not None
+        for rule in ("integrate_semi_infinite", "_double_well_log_numerators", "panel_rule"):
+            monkeypatch.setattr(potentials, rule, refuse)
+        for name in ALL_NAMES:
+            t = make_target(name, 137)
+            assert t.marginal is not None and t.second_moment is not None
 
     def test_make_target_unknown(self):
         with pytest.raises(ValueError):
@@ -144,17 +147,17 @@ class TestGradientConsistency:
             assert np.all(np.abs(hess - jac) <= 1e-5 * scale)
 
 
-def oracle_log_radial(d, x, extra):
-    # log of int_0^inf 2 s^(d-2+extra) exp(-q^2/4 + q/2) ds, q = s^2 + x^2,
+def oracle_log_radial(d, x, extra, beta=1.0):
+    # log of int_0^inf 2 s^(d-2+extra) exp(-beta (q^2/4 - q/2)) ds, q = s^2 + x^2,
     # by adaptive quadrature split at the peak and shifted by its value
     x2 = x * x
     c = d - 2 + extra
-    u = 0.5 * ((1.0 - x2) + math.sqrt((x2 - 1.0) ** 2 + 4.0 * c))
+    u = 0.5 * ((1.0 - x2) + math.sqrt((x2 - 1.0) ** 2 + 4.0 * c / beta))
     peak = math.sqrt(max(u, 0.0))
 
     def log_f(s):
         q = s * s + x2
-        return (c * math.log(s) if c else 0.0) - 0.25 * q * q + 0.5 * q
+        return (c * math.log(s) if c else 0.0) - beta * (0.25 * q * q - 0.5 * q)
 
     top = log_f(peak)
 
@@ -227,6 +230,39 @@ class TestMarginals:
                        a_tilde=1, b_tilde=1)
         with pytest.raises(ValueError):
             marginal_pdf(t)
+
+
+class TestLawFacts:
+    """The normalizers and second moments against adaptive quadrature."""
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 100, 1000])
+    def test_double_well(self, d, beta):
+        log_z = potentials._double_well_log_radial(d + 1, beta)
+        assert abs(math.expm1(log_z - oracle_log_radial(d, 0.0, 1, beta))) <= 1e-12
+        m2 = math.exp(oracle_log_radial(d, 0.0, 3, beta) - oracle_log_radial(d, 0.0, 1, beta))
+        assert make_double_well(d).second_moment(beta) == pytest.approx(m2, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 2.0, 10.0])
+    @pytest.mark.parametrize("d", [1, 2, 10, 100])
+    def test_mixture(self, d, beta):
+        a = float(np.linalg.norm(default_mixture_center(d)))
+
+        def g(u):
+            return math.exp(-0.5 * beta * (u - a) ** 2 + beta * np.logaddexp(0.0, -2.0 * a * u))
+
+        lo, hi = -a - 40.0 / math.sqrt(beta), a + 40.0 / math.sqrt(beta)
+        pts = [-a, 0.0, a]
+        z = quad(g, lo, hi, points=pts, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+        m2 = quad(lambda u: u * u * g(u), lo, hi, points=pts, limit=200, epsabs=0.0,
+                  epsrel=1e-13)[0]
+        expect = m2 / z + (d - 1) / beta
+        assert make_target("mixture", d).second_moment(beta) == pytest.approx(
+            expect, rel=1e-13, abs=0)
+
+    def test_logistic(self):
+        z = np.concatenate([np.linspace(-800.0, 800.0, 100_001), RngStream(6, 0).normal(10_000)])
+        assert np.max(np.abs(potentials._logistic(z) - expit(z))) <= 1e-14
 
 
 class TestAssumptionCheckers:
