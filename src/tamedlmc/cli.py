@@ -472,9 +472,9 @@ def cmd_check(opts, explicit) -> int:
         potentials.check_assumption_3(target, points, radius, RngStream(seed, 1)),
         potentials.check_assumption_4(target, points, radius, RngStream(seed, 2)),
     ]
-    dc = constants_mod.derive_constants(target, beta=1.0, d=dim)
+    moduli = constants_mod.certified_moduli(target)
     reports.extend(
-        constants_mod.certify_derived_constants(target, dc, points, radius, RngStream(seed, 3))
+        constants_mod.certify_derived_constants(target, moduli, points, radius, RngStream(seed, 3))
     )
 
     all_ok = all(r.ok for r in reports)

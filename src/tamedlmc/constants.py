@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from mpmath import mp, mpf
 
 from .numerics import RngStream
-from .potentials import CheckReport, TargetSpec, _uniform_in_ball, _violation, operator_norm
+from .potentials import (
+    CheckReport, TargetSpec, _exceeds, _falls_short, _pow0, _uniform_in_ball, hessian_norm,
+    hessian_vector_product, row_norm_sq,
+)
 
 mp.dps = 60
 
@@ -74,11 +78,15 @@ def derive_bar_constants(target: TargetSpec):
     return a_bar, b_tilde, b_tilde, None
 
 
+def _grad_h0_norm(target: TargetSpec) -> float:
+    return float(hessian_norm(target, np.zeros((1, target.d)))[0])
+
+
 def derive_lipschitz_constants(target: TargetSpec, grad_h0_norm: float | None = None):
     """(R_bar, L_bar, C_grad, L_bar_grad): the one-sided Lipschitz radius
     and modulus plus the Hessian growth constants."""
     if grad_h0_norm is None:
-        grad_h0_norm = operator_norm(target.hess(np.zeros(target.d)))
+        grad_h0_norm = _grad_h0_norm(target)
     if target.r > 0:
         R_bar = (mpf(target.b) / mpf(target.a)) ** (1 / (mpf(target.r) - mpf(target.r_bar)))
     else:
@@ -577,75 +585,50 @@ def derive_constants(
     moment = derive_moment_constants(target, beta, d, sorted(set(need["c_star"]) | set(p_extra)))
     drift = derive_drift_constants(target, beta, d, sorted(set(need["M_V"]) | {p for p in p_extra if p >= 1}))
     contraction = derive_contraction_constants(target, beta, d)
-    grad_h0 = operator_norm(target.hess(np.zeros(target.d)))
+    grad_h0 = _grad_h0_norm(target)
     lipschitz = derive_lipschitz_constants(target, grad_h0)
     a_bar, b_bar, b_bar_prime, R = derive_bar_constants(target)
     theorem = derive_theorem_constants(target, beta, d, v2_integral, moment, drift, contraction, lipschitz)
     lam_max, lam_1_max = step_size_limits(a_bar, target.K)
 
+    R_bar, L_bar, C_grad, L_bar_grad = lipschitz
     return DerivedConstants(
-        target_name=target.name,
-        beta=beta,
-        d=d,
-        r=target.r,
-        nu=target.nu,
-        K=target.K,
-        L=target.L,
-        grad_h0_norm=grad_h0,
-        a_bar=a_bar,
-        b_bar=b_bar,
-        b_bar_prime=b_bar_prime,
-        R=R,
-        R_bar=lipschitz[0],
-        L_bar=lipschitz[1],
-        C_grad=lipschitz[2],
-        L_bar_grad=lipschitz[3],
-        kappa=moment["kappa"],
-        c0=moment["c0"],
-        kappa_star=moment["kappa_star"],
-        moment_tables=moment,
-        drift_tables=drift,
-        R1_bar=contraction["R1_bar"],
-        R2_bar=contraction["R2_bar"],
-        epsilon=contraction["epsilon"],
-        c_hat=contraction["c_hat"],
-        c_dot=contraction["c_dot"],
-        C_bar_11=theorem["C_bar_11"],
-        C_bar_21=theorem["C_bar_21"],
-        C_bar_12=theorem["C_bar_12"],
-        C_bar_22=theorem["C_bar_22"],
-        C_bar_0=theorem["C_bar_0"],
-        C_bar_1=theorem["C_bar_1"],
-        C_bar_2=theorem["C_bar_2"],
-        C_bar_3=theorem["C_bar_3"],
-        C_bar_4=theorem["C_bar_4"],
-        C_bar_5=theorem["C_bar_5"],
-        C0=theorem["C0"],
-        C1=theorem["C1"],
-        C2=theorem["C2"],
-        C3=theorem["C3"],
-        C4=theorem["C4"],
-        C5=theorem["C5"],
-        lambda_max=lam_max,
-        lambda_1_max=lam_1_max,
-        v2_integral=v2_integral,
-        v2_stderr=v2_stderr,
+        target_name=target.name, beta=beta, d=d, r=target.r, nu=target.nu, K=target.K, L=target.L,
+        grad_h0_norm=grad_h0, a_bar=a_bar, b_bar=b_bar, b_bar_prime=b_bar_prime, R=R,
+        R_bar=R_bar, L_bar=L_bar, C_grad=C_grad, L_bar_grad=L_bar_grad,
+        kappa=moment["kappa"], c0=moment["c0"], kappa_star=moment["kappa_star"],
+        moment_tables=moment, drift_tables=drift,
+        R1_bar=contraction["R1_bar"], R2_bar=contraction["R2_bar"], epsilon=contraction["epsilon"],
+        c_hat=contraction["c_hat"], c_dot=contraction["c_dot"],
+        **theorem,  # C_bar_11 .. C_bar_5 and C0 .. C5
+        lambda_max=lam_max, lambda_1_max=lam_1_max, v2_integral=v2_integral, v2_stderr=v2_stderr,
         notes=dict(_NOTES),
     )
 
 
 # --- sampled certificates for the derived moduli ---
 
+def certified_moduli(target: TargetSpec) -> SimpleNamespace:
+    """The six moduli ``certify_derived_constants`` reads (a_bar, b_bar,
+    b_bar_prime, L_bar, C_grad, L_bar_grad), without the moment, drift,
+    contraction and theorem stages of ``derive_constants``."""
+    a_bar, b_bar, b_bar_prime, _ = derive_bar_constants(target)
+    _, L_bar, C_grad, L_bar_grad = derive_lipschitz_constants(target)
+    return SimpleNamespace(a_bar=a_bar, b_bar=b_bar, b_bar_prime=b_bar_prime,
+                           L_bar=L_bar, C_grad=C_grad, L_bar_grad=L_bar_grad)
+
+
 def certify_derived_constants(
     target: TargetSpec,
-    dc: DerivedConstants,
+    dc: DerivedConstants | SimpleNamespace,
     n_points: int,
     radius: float,
     stream: RngStream,
 ) -> list[CheckReport]:
     """Check the proved consequences of the derived constants at sampled
     points: both dissipativity lower bounds, the one-sided Lipschitz
-    bound, Hessian growth, and the Taylor-remainder bound."""
+    bound, Hessian growth, and the Taylor-remainder bound.  ``dc`` is a
+    ``DerivedConstants`` or the ``certified_moduli`` of the target."""
     xs = _uniform_in_ball(stream, target.d, radius, n_points)
     ys = _uniform_in_ball(stream, target.d, radius, n_points)
     hx = np.atleast_2d(target.h(xs))
@@ -653,53 +636,21 @@ def certify_derived_constants(
     nx = np.linalg.norm(xs, axis=1)
     ny = np.linalg.norm(ys, axis=1)
     a_bar, b_bar, b_bar_prime = float(dc.a_bar), float(dc.b_bar), float(dc.b_bar_prime)
-    L_bar = float(dc.L_bar)
-    C_grad, L_bar_grad = float(dc.C_grad), float(dc.L_bar_grad)
-    rtol = 1e-12
-    reports = []
-
     ip = np.sum(xs * hx, axis=1)
-    rhs = a_bar * nx ** (target.r + 2) - b_bar
-    bad = [
-        _violation(xs[i], None, ip[i], rhs[i])
-        for i in np.nonzero(ip < rhs - rtol * (1 + np.abs(rhs)))[0]
-    ]
-    reports.append(CheckReport(target.name, "dissipativity-r+2", n_points, bad))
-
-    rhs2 = a_bar * nx**2 - b_bar_prime
-    bad = [
-        _violation(xs[i], None, ip[i], rhs2[i])
-        for i in np.nonzero(ip < rhs2 - rtol * (1 + np.abs(rhs2)))[0]
-    ]
-    reports.append(CheckReport(target.name, "dissipativity-quadratic", n_points, bad))
-
     diff = xs - ys
-    lhs = np.sum(diff * (hx - hy), axis=1)
-    rhs3 = -L_bar * np.sum(diff * diff, axis=1)
-    bad = [
-        _violation(xs[i], ys[i], lhs[i], rhs3[i])
-        for i in np.nonzero(lhs < rhs3 - rtol * (1 + np.abs(rhs3)))[0]
-    ]
-    reports.append(CheckReport(target.name, "one-sided-lipschitz", n_points, bad))
-
-    bad = []
-    for i in range(n_points):
-        lhs_h = operator_norm(target.hess(xs[i]))
-        rhs_h = C_grad * (1.0 + nx[i] ** (target.nu + 1))
-        if lhs_h > rhs_h + rtol * (1 + rhs_h):
-            bad.append(_violation(xs[i], None, lhs_h, rhs_h))
-    reports.append(CheckReport(target.name, "hessian-growth", n_points, bad))
-
-    bad = []
-    nu = target.nu
-    for i in range(n_points):
-        rem = hx[i] - hy[i] - target.hess(ys[i]) @ (xs[i] - ys[i])
-        lhs_t = float(np.linalg.norm(rem))
-        pow_x = 1.0 if nu == 0 else nx[i] ** nu
-        pow_y = 1.0 if nu == 0 else ny[i] ** nu
-        rhs_t = L_bar_grad * (1.0 + pow_x + pow_y) * float(np.sum((xs[i] - ys[i]) ** 2))
-        if lhs_t > rhs_t + rtol * (1 + rhs_t):
-            bad.append(_violation(xs[i], ys[i], lhs_t, rhs_t))
-    reports.append(CheckReport(target.name, "taylor-remainder", n_points, bad))
-
-    return reports
+    dsq = np.sum(diff * diff, axis=1)
+    one_sided = np.sum(diff * (hx - hy), axis=1)
+    # |h(x) - h(y) - H(y)(x - y)|, formed in place: the (n, d) temporaries
+    # set the check's peak memory
+    remainder = hessian_vector_product(target, ys, diff)
+    remainder -= hx
+    remainder += hy
+    growth = 1.0 + _pow0(nx, target.nu) + _pow0(ny, target.nu)
+    found = {
+        "dissipativity-r+2": _falls_short(ip, a_bar * nx ** (target.r + 2) - b_bar, xs),
+        "dissipativity-quadratic": _falls_short(ip, a_bar * nx**2 - b_bar_prime, xs),
+        "one-sided-lipschitz": _falls_short(one_sided, -float(dc.L_bar) * dsq, xs, ys),
+        "hessian-growth": _exceeds(hessian_norm(target, xs), float(dc.C_grad) * (1.0 + nx ** (target.nu + 1)), xs),
+        "taylor-remainder": _exceeds(np.sqrt(row_norm_sq(remainder)), float(dc.L_bar_grad) * growth * dsq, xs, ys),
+    }
+    return [CheckReport(target.name, name, n_points, bad) for name, bad in found.items()]

@@ -6,9 +6,11 @@ guarantees hold.  Three built-ins ship: an isotropic Gaussian, a
 symmetric two-component Gaussian mixture, and the double-well potential
 (the canonical non-convex target whose gradient grows cubically).
 
-``U`` and ``h`` accept points of shape (d,) or batches (..., d); ``hess``
-takes a single point and returns a (d, d) matrix.  A built-in target also
-carries what is known of its law: first marginal, second moment, exact draw.
+``U``, ``h`` and ``hess`` accept points of shape (d,) or batches (..., d);
+``hess`` returns (..., d, d).  A built-in target's Hessian is a scalar times
+I plus a rank-one term, which gives its operator norms exactly in O(d) per
+point.  A built-in target also carries what is known of its law: first
+marginal, second moment, exact draw.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ class TargetSpec:
     r_bar: float | None = None
     a_tilde: float | None = None
     b_tilde: float | None = None
+    # (..., d) -> (scale (...), coef (...), vec (..., d)) with
+    # hess = scale I + coef vec vec^T; None for a hand-built target
+    hess_parts: Callable | None = None
     # facts about the law, None where unknown (a hand-built target)
     marginal: Callable | None = None  # first-coordinate density at beta = 1
     second_moment: Callable | None = None  # beta -> E_pi |theta|^2
@@ -97,8 +102,15 @@ def _gaussian_h(theta):
     return np.asarray(theta, dtype=float)
 
 
-def _gaussian_hess(theta, d):
-    return np.eye(d)
+def _gaussian_hess_parts(theta):
+    shape = np.shape(theta)
+    return np.ones(shape[:-1]), np.zeros(shape[:-1]), np.zeros(shape)
+
+
+def _hess_from_parts(theta, parts):
+    scale, coef, vec = parts(np.asarray(theta, dtype=float))
+    outer = vec[..., :, None] * vec[..., None, :]
+    return scale[..., None, None] * np.eye(vec.shape[-1]) + coef[..., None, None] * outer
 
 
 def _gaussian_second_moment(beta, d):
@@ -132,11 +144,10 @@ def _mixture_h(theta, a_dot):
     return theta - a_dot + 2.0 * np.multiply.outer(w, a_dot)
 
 
-def _mixture_hess(theta, a_dot):
-    theta = np.asarray(theta, dtype=float)
-    x = 2.0 * float(np.sum(theta * a_dot))
+def _mixture_hess_parts(theta, a_dot):
+    x = 2.0 * np.einsum("...i,i->...", theta, a_dot)
     s = 4.0 * _logistic(x) * _logistic(-x)  # 4 e^x / (1 + e^x)^2
-    return np.eye(a_dot.size) - s * np.outer(a_dot, a_dot)
+    return np.ones_like(s), -s, np.broadcast_to(a_dot, np.shape(theta))
 
 
 def _mixture_second_moment(beta, d, a_norm):
@@ -165,10 +176,10 @@ def _double_well_h(theta):
     return (sq - 1.0)[..., None] * theta if theta.ndim > 1 else (sq - 1.0) * theta
 
 
-def _double_well_hess(theta):
-    theta = np.asarray(theta, dtype=float)
-    sq = float(theta @ theta)
-    return (sq - 1.0) * np.eye(theta.size) + 2.0 * np.outer(theta, theta)
+def _double_well_hess_parts(theta):
+    # (|theta|^2 - 1) I + 2 theta theta^T
+    scale = row_norm_sq(theta) - 1.0
+    return scale, np.full_like(scale, 2.0), theta
 
 
 def _double_well_second_moment(beta, d):
@@ -185,7 +196,8 @@ def make_gaussian(d: int) -> TargetSpec:
         d=d,
         U=_gaussian_u,
         h=_gaussian_h,
-        hess=functools.partial(_gaussian_hess, d=d),
+        hess=functools.partial(_hess_from_parts, parts=_gaussian_hess_parts),
+        hess_parts=_gaussian_hess_parts,
         r=0,
         nu=0,
         L=1.0,
@@ -211,12 +223,14 @@ def make_gaussian_mixture(d: int, a_dot: np.ndarray | None = None) -> TargetSpec
     if a_dot.shape != (d,):
         raise ValueError(f"a_dot must have shape ({d},)")
     norm_a = float(np.linalg.norm(a_dot))
+    mixture_parts = functools.partial(_mixture_hess_parts, a_dot=a_dot)
     return TargetSpec(
         name="mixture",
         d=d,
         U=functools.partial(_mixture_u, a_dot=a_dot),
         h=functools.partial(_mixture_h, a_dot=a_dot),
-        hess=functools.partial(_mixture_hess, a_dot=a_dot),
+        hess=functools.partial(_hess_from_parts, parts=mixture_parts),
+        hess_parts=mixture_parts,
         r=0,
         nu=0,
         L=1.0 + 4.0 * norm_a**2,
@@ -240,7 +254,8 @@ def make_double_well(d: int) -> TargetSpec:
         d=d,
         U=_double_well_u,
         h=_double_well_h,
-        hess=_double_well_hess,
+        hess=functools.partial(_hess_from_parts, parts=_double_well_hess_parts),
+        hess_parts=_double_well_hess_parts,
         r=2,
         nu=1,
         L=1.0,
@@ -441,13 +456,20 @@ def _uniform_in_ball(stream: RngStream, d: int, radius: float, n: int) -> np.nda
     return radius * (u ** (1.0 / d))[:, None] * (dirs / norms)
 
 
-def _violation(theta, theta_prime, lhs, rhs):
-    return {
-        "theta": np.asarray(theta).tolist(),
-        "theta_prime": None if theta_prime is None else np.asarray(theta_prime).tolist(),
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-    }
+def _violations(bad, lhs, rhs, xs, ys=None) -> list:
+    # JSON-ready records of the rows where ``bad`` holds
+    return [{"theta": xs[i].tolist(), "theta_prime": None if ys is None else ys[i].tolist(),
+             "lhs": float(lhs[i]), "rhs": float(rhs[i])} for i in np.nonzero(bad)[0]]
+
+
+def _exceeds(lhs, rhs, xs, ys=None) -> list:
+    # the rows breaking lhs <= rhs beyond rounding
+    return _violations(lhs > rhs + _CHECK_RTOL * (1.0 + rhs), lhs, rhs, xs, ys)
+
+
+def _falls_short(lhs, rhs, xs, ys=None) -> list:
+    # the rows breaking lhs >= rhs beyond rounding
+    return _violations(lhs < rhs - _CHECK_RTOL * (1.0 + np.abs(rhs)), lhs, rhs, xs, ys)
 
 
 def _pow0(x, e):
@@ -466,18 +488,9 @@ def check_assumption_2(
     hy = np.atleast_2d(target.h(ys))
     nx = np.linalg.norm(xs, axis=1)
     ny = np.linalg.norm(ys, axis=1)
-    violations = []
-
-    lhs = np.linalg.norm(hx - hy, axis=1)
     rhs = target.L * (1.0 + nx + ny) ** target.r * np.linalg.norm(xs - ys, axis=1)
-    for i in np.nonzero(lhs > rhs + _CHECK_RTOL * (1.0 + rhs))[0]:
-        violations.append(_violation(xs[i], ys[i], lhs[i], rhs[i]))
-
-    lhs_g = np.linalg.norm(hx, axis=1)
-    rhs_g = target.K * (1.0 + nx ** (target.r + 1))
-    for i in np.nonzero(lhs_g > rhs_g + _CHECK_RTOL * (1.0 + rhs_g))[0]:
-        violations.append(_violation(xs[i], None, lhs_g[i], rhs_g[i]))
-
+    violations = _exceeds(np.linalg.norm(hx - hy, axis=1), rhs, xs, ys)
+    violations += _exceeds(np.linalg.norm(hx, axis=1), target.K * (1.0 + nx ** (target.r + 1)), xs)
     return CheckReport(target.name, "assumption-2", n_points, violations)
 
 
@@ -487,7 +500,6 @@ def check_assumption_3(
     """Sampled check of convexity at infinity (r > 0) or dissipativity
     (r = 0)."""
     xs = _uniform_in_ball(stream, target.d, radius, n_points)
-    violations = []
     if target.r > 0:
         ys = _uniform_in_ball(stream, target.d, radius, n_points)
         hx = np.atleast_2d(target.h(xs))
@@ -500,34 +512,79 @@ def check_assumption_3(
         rhs = target.a * dsq * (nx**target.r + ny**target.r) - target.b * dsq * (
             _pow0(nx, target.r_bar) + _pow0(ny, target.r_bar)
         )
-        for i in np.nonzero(lhs < rhs - _CHECK_RTOL * (1.0 + np.abs(rhs)))[0]:
-            violations.append(_violation(xs[i], ys[i], lhs[i], rhs[i]))
+        violations = _falls_short(lhs, rhs, xs, ys)
     else:
         hx = np.atleast_2d(target.h(xs))
-        lhs = np.sum(xs * hx, axis=1)
         rhs = target.a_tilde * np.sum(xs * xs, axis=1) - target.b_tilde
-        for i in np.nonzero(lhs < rhs - _CHECK_RTOL * (1.0 + np.abs(rhs)))[0]:
-            violations.append(_violation(xs[i], None, lhs[i], rhs[i]))
+        violations = _falls_short(np.sum(xs * hx, axis=1), rhs, xs)
     return CheckReport(target.name, "assumption-3", n_points, violations)
 
 
-def operator_norm(mat: np.ndarray, iters: int = 50, tol: float = 1e-10) -> float:
-    """Operator norm of a symmetric matrix by power iteration."""
-    d = mat.shape[0]
-    v = np.ones(d) / np.sqrt(d)
-    v[0] += 0.5  # break symmetry against orthogonal starts
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(iters):
-        w = mat @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        if abs(norm_w - prev) <= tol * max(1.0, norm_w):
-            return float(norm_w)
-        prev = norm_w
-    return float(prev)
+def _dense(target: TargetSpec, fn, *rows) -> np.ndarray:
+    # fn over blocks of rows, for a hand-built target's stacked (rows, d, d)
+    # Hessians; a block holds about 2^20 entries (8 MB)
+    step = max(1, 2**20 // target.d**2)
+    return np.concatenate([fn(*(r[i:i + step] for r in rows)) for i in range(0, len(rows[0]), step)])
+
+
+def _eig_norm(mats):
+    return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
+
+
+def hessian_norm(target: TargetSpec, xs: np.ndarray) -> np.ndarray:
+    """|H(x)| in operator norm for each row of xs (n, d): s + c|v|^2 along v
+    and s on its complement (d >= 2), or eigvalsh without the structure."""
+    xs = np.asarray(xs, dtype=float)
+    if target.hess_parts is None:
+        return _dense(target, lambda x: _eig_norm(target.hess(x)), xs)
+    s, c, v = target.hess_parts(xs)
+    along = np.abs(s + c * row_norm_sq(v))
+    return along if target.d == 1 else np.maximum(np.abs(s), along)
+
+
+def hessian_diff_norm(target: TargetSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """|H(x) - H(y)| in operator norm for each row pair of xs, ys (n, d).
+
+    H(x) - H(y) = (s_x - s_y) I + c_x u u^T - c_y v v^T.  On span{u, v} it
+    is a symmetric 2x2 matrix in the basis (u/|u|, w/|w|), w = v minus its
+    projection on u; a missing basis direction gives eigenvalue s_x - s_y,
+    as does the complement of the span (non-empty when d >= 3).
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if target.hess_parts is None:
+        return _dense(target, lambda x, y: _eig_norm(target.hess(x) - target.hess(y)), xs, ys)
+    sx, cx, u = target.hess_parts(xs)
+    sy, cy, v = target.hess_parts(ys)
+    shift = sx - sy
+    uu, vv = row_norm_sq(u), row_norm_sq(v)
+    if target.d == 1:
+        return np.abs(shift + cx * uu - cy * vv)
+    uv = np.einsum("...i,...i->...", u, v)
+    has_u = uu > 0.0
+    ratio = np.where(has_u, uv / np.where(has_u, uu, 1.0), 0.0)
+    # squared coordinates (p^2, q^2) of v in the basis, (|v|^2, 0) when u = 0
+    p2 = np.where(has_u, uv * ratio, vv)
+    w = ratio[..., None] * u
+    np.subtract(v, w, out=w)  # in place: the (n, d) temporaries set the check's peak memory
+    q2 = np.where(has_u, row_norm_sq(w), 0.0)
+    # [[a, b], [b, e]] = c_x |u|^2 e1 e1^T - c_y (p, q)(p, q)^T, b up to sign
+    a = cx * uu - cy * p2
+    e = -cy * q2
+    b = cy * np.sqrt(p2 * q2)
+    # eigenvalues shift + (a + e)/2 +/- hypot((a - e)/2, b)
+    out = np.abs(shift + 0.5 * (a + e)) + np.hypot(0.5 * (a - e), b)
+    return np.maximum(out, np.abs(shift)) if target.d > 2 else out
+
+
+def hessian_vector_product(target: TargetSpec, ys: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """H(y) w for each row pair of ys, ws (n, d)."""
+    ys, ws = np.asarray(ys, dtype=float), np.asarray(ws, dtype=float)
+    if target.hess_parts is None:
+        return _dense(target, lambda y, w: np.einsum("nij,nj->ni", target.hess(y), w), ys, ws)
+    s, c, v = target.hess_parts(ys)
+    out = (c * np.einsum("...i,...i->...", v, ws))[..., None] * v
+    out += s[..., None] * ws
+    return out
 
 
 def check_assumption_4(
@@ -537,15 +594,7 @@ def check_assumption_4(
     |H(x) - H(y)| <= L_grad (1+|x|+|y|)^nu |x-y| in operator norm."""
     xs = _uniform_in_ball(stream, target.d, radius, n_points)
     ys = _uniform_in_ball(stream, target.d, radius, n_points)
-    violations = []
-    for i in range(n_points):
-        diff = target.hess(xs[i]) - target.hess(ys[i])
-        lhs = operator_norm(diff)
-        rhs = (
-            target.L_grad
-            * (1.0 + np.linalg.norm(xs[i]) + np.linalg.norm(ys[i])) ** target.nu
-            * np.linalg.norm(xs[i] - ys[i])
-        )
-        if lhs > rhs + _CHECK_RTOL * (1.0 + rhs):
-            violations.append(_violation(xs[i], ys[i], lhs, rhs))
+    rhs = (target.L_grad * (1.0 + np.linalg.norm(xs, axis=1) + np.linalg.norm(ys, axis=1)) ** target.nu
+           * np.linalg.norm(xs - ys, axis=1))
+    violations = _exceeds(hessian_diff_norm(target, xs, ys), rhs, xs, ys)
     return CheckReport(target.name, "assumption-4", n_points, violations)

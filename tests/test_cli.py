@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tamedlmc import cli, sampler
+from tamedlmc import cli, constants, potentials, sampler
 from tamedlmc.cli import main
 from tamedlmc.constants import step_size_limits_for_target
 from tamedlmc.numerics import RngStream
@@ -454,6 +454,17 @@ class TestCheck:
 
     def test_points_validation(self):
         assert exit_code(["check", "--target", "gaussian", "--points", "0"]) == 2
+
+    def test_no_full_pipeline_and_no_dense_hessian(self, monkeypatch):
+        # check derives only the moduli it certifies, and takes every
+        # built-in Hessian norm from the target's structure
+        def refuse(*args, **kwargs):
+            raise AssertionError("refused on the check path")
+
+        monkeypatch.setattr(constants, "derive_constants", refuse)
+        monkeypatch.setattr(potentials, "_hess_from_parts", refuse)
+        for target in ("gaussian", "mixture", "double-well"):
+            assert run(["check", "--target", target, "--dim", "3", "--points", "200"]) == 0, target
 
     def test_bad_override(self):
         assert exit_code(["check", "--target", "gaussian", "--override", "L"]) == 2

@@ -6,8 +6,9 @@ from mpmath import mp, mpf
 
 from oracle_constants import second_path
 from tamedlmc.numerics import RngStream
-from tamedlmc.potentials import make_double_well, make_gaussian, make_target, operator_norm
+from tamedlmc.potentials import hessian_norm, make_double_well, make_gaussian, make_target
 from tamedlmc.constants import (
+    certified_moduli,
     certify_derived_constants,
     derive_bar_constants,
     derive_constants,
@@ -257,7 +258,18 @@ class TestCertificates:
                          "one-sided-lipschitz", "hessian-growth", "taylor-remainder"}
 
     def test_grad_h0_norms(self):
-        # |hess(0)|: identity -> 1; mixture -> |I - a a^T| = |a|^2 - 1 = 3
-        assert operator_norm(make_gaussian(3).hess(np.zeros(3))) == pytest.approx(1.0)
-        assert operator_norm(make_target("mixture", 4).hess(np.zeros(4))) == pytest.approx(3.0, rel=1e-9)
-        assert operator_norm(make_double_well(3).hess(np.zeros(3))) == pytest.approx(1.0)
+        # |hess(0)|, exact: identity -> 1; mixture -> |I - a a^T| = |a|^2 - 1 = 3
+        # (|a|^2 = 4 exactly at d = 4); double-well -> |-I| = 1
+        for t, expected in ((make_gaussian(3), 1.0), (make_target("mixture", 4), 3.0),
+                            (make_double_well(3), 1.0)):
+            assert hessian_norm(t, np.zeros((1, t.d)))[0] == expected, t.name
+            assert derive_constants(t, beta=1.0, d=t.d).grad_h0_norm == expected, t.name
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_certified_moduli_match_pipeline(self, name):
+        # check derives only these six, and they are the pipeline's values
+        t = make_target(name, 4)
+        dc = derive_constants(t, beta=1.0, d=4)
+        moduli = certified_moduli(t)
+        for key in ("a_bar", "b_bar", "b_bar_prime", "L_bar", "C_grad", "L_bar_grad"):
+            assert getattr(moduli, key) == getattr(dc, key), key
