@@ -492,7 +492,7 @@ def cmd_check(opts, explicit) -> int:
         _write_json(out_path, {**payload, "manifest": str(_manifest_path(out_path))})
         _write_manifest(out_path, "check", opts, [out_path])
     for r in reports:
-        status = "ok" if r.ok else f"{len(r.violations)} violation(s)"
+        status = "ok" if r.ok else f"{r.n_violations} violation(s)"
         print(f"{target.name}: {r.assumption}: {status}")
     return 0 if all_ok else 1
 

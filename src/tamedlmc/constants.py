@@ -21,7 +21,7 @@ from mpmath import mp, mpf
 
 from .numerics import RngStream
 from .potentials import (
-    CheckReport, TargetSpec, _exceeds, _falls_short, _pow0, _uniform_in_ball, hessian_norm,
+    CheckReport, TargetSpec, _exceeds, _falls_short, _report, _pow0, _uniform_in_ball, hessian_norm,
     hessian_vector_product, row_norm_sq,
 )
 
@@ -640,9 +640,9 @@ def certify_derived_constants(
     diff = xs - ys
     dsq = np.sum(diff * diff, axis=1)
     one_sided = np.sum(diff * (hx - hy), axis=1)
-    # |h(x) - h(y) - H(y)(x - y)|, formed in place: the (n, d) temporaries
-    # set the check's peak memory
-    remainder = hessian_vector_product(target, ys, diff)
+    # |h(x) - h(y) - H(y)(x - y)|, formed in place in diff, which is not
+    # needed after: the (n, d) temporaries set the check's peak memory
+    remainder = hessian_vector_product(target, ys, diff, out=diff)
     remainder -= hx
     remainder += hy
     growth = 1.0 + _pow0(nx, target.nu) + _pow0(ny, target.nu)
@@ -653,4 +653,4 @@ def certify_derived_constants(
         "hessian-growth": _exceeds(hessian_norm(target, xs), float(dc.C_grad) * (1.0 + nx ** (target.nu + 1)), xs),
         "taylor-remainder": _exceeds(np.sqrt(row_norm_sq(remainder)), float(dc.L_bar_grad) * growth * dsq, xs, ys),
     }
-    return [CheckReport(target.name, name, n_points, bad) for name, bad in found.items()]
+    return [_report(target, name, n_points, bad) for name, bad in found.items()]

@@ -41,9 +41,10 @@ class RngStream:
         )
         self._gen = np.random.Generator(np.random.PCG64(seq))
 
-    def normal(self, shape) -> np.ndarray:
-        """Draw standard normal variates with the given shape."""
-        return self._gen.standard_normal(shape)
+    def normal(self, shape, out: np.ndarray | None = None) -> np.ndarray:
+        """Draw standard normal variates with the given shape, into ``out``
+        (C-contiguous, of that shape) when given."""
+        return self._gen.standard_normal(shape, out=out)
 
     def __repr__(self):  # pragma: no cover
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"

@@ -30,13 +30,13 @@ from .numerics import (
 )
 
 
-def row_norm_sq(theta: np.ndarray) -> np.ndarray:
-    """|theta|^2 along the last axis.
+def row_norm_sq(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|theta|^2 along the last axis (into ``out`` when given).
 
     einsum keeps the reduction order a function of d alone, so batched
     and single-point evaluations agree bit for bit.
     """
-    return np.einsum("...i,...i->...", theta, theta)
+    return np.einsum("...i,...i->...", theta, theta, out=out)
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,10 @@ class TargetSpec:
     # (..., d) -> (scale (...), coef (...), vec (..., d)) with
     # hess = scale I + coef vec vec^T; None for a hand-built target
     hess_parts: Callable | None = None
+    # (theta (..., d), |theta|^2 (...)) -> (a, c) with h = a theta + c: a is
+    # a float or (...), c is None or (..., d); None for a hand-built target,
+    # whose drift is then (0, h)
+    drift_parts: Callable | None = None
     # facts about the law, None where unknown (a hand-built target)
     marginal: Callable | None = None  # first-coordinate density at beta = 1
     second_moment: Callable | None = None  # beta -> E_pi |theta|^2
@@ -98,8 +102,15 @@ def _gaussian_u(theta):
     return 0.5 * row_norm_sq(theta)
 
 
-def _gaussian_h(theta):
-    return np.asarray(theta, dtype=float)
+def _h_from_parts(theta, parts):
+    theta = np.asarray(theta, dtype=float)
+    a, c = parts(theta, row_norm_sq(theta))
+    h = np.expand_dims(a, -1) * theta
+    return h if c is None else h + c
+
+
+def _gaussian_drift_parts(theta, sq):
+    return 1.0, None
 
 
 def _gaussian_hess_parts(theta):
@@ -135,13 +146,13 @@ def _logistic(z):
     return np.exp(-np.logaddexp(0.0, -z))
 
 
-def _mixture_h(theta, a_dot):
-    theta = np.asarray(theta, dtype=float)
-    # reduction order independent of batch shape: masked, full-batch and
-    # single-point updates agree bit for bit
+def _mixture_drift_parts(theta, sq, a_dot):
+    # h = theta - a_dot + 2 w a_dot with w = 1 / (1 + e^{2<a,theta>}), and
+    # 2 w - 1 = -tanh(<a, theta>); the reduction order is independent of
+    # batch shape, so masked, full-batch and single-point updates agree bit
+    # for bit
     dot = np.einsum("...i,i->...", theta, a_dot)
-    w = _logistic(-2.0 * dot)  # = 1 / (1 + e^{2<a,theta>})
-    return theta - a_dot + 2.0 * np.multiply.outer(w, a_dot)
+    return 1.0, np.multiply.outer(-np.tanh(dot), a_dot)
 
 
 def _mixture_hess_parts(theta, a_dot):
@@ -170,10 +181,8 @@ def _double_well_u(theta):
     return 0.25 * sq * sq - 0.5 * sq
 
 
-def _double_well_h(theta):
-    theta = np.asarray(theta, dtype=float)
-    sq = row_norm_sq(theta)
-    return (sq - 1.0)[..., None] * theta if theta.ndim > 1 else (sq - 1.0) * theta
+def _double_well_drift_parts(theta, sq):
+    return sq - 1.0, None
 
 
 def _double_well_hess_parts(theta):
@@ -195,7 +204,8 @@ def make_gaussian(d: int) -> TargetSpec:
         name="gaussian",
         d=d,
         U=_gaussian_u,
-        h=_gaussian_h,
+        h=functools.partial(_h_from_parts, parts=_gaussian_drift_parts),
+        drift_parts=_gaussian_drift_parts,
         hess=functools.partial(_hess_from_parts, parts=_gaussian_hess_parts),
         hess_parts=_gaussian_hess_parts,
         r=0,
@@ -224,11 +234,13 @@ def make_gaussian_mixture(d: int, a_dot: np.ndarray | None = None) -> TargetSpec
         raise ValueError(f"a_dot must have shape ({d},)")
     norm_a = float(np.linalg.norm(a_dot))
     mixture_parts = functools.partial(_mixture_hess_parts, a_dot=a_dot)
+    drift_parts = functools.partial(_mixture_drift_parts, a_dot=a_dot)
     return TargetSpec(
         name="mixture",
         d=d,
         U=functools.partial(_mixture_u, a_dot=a_dot),
-        h=functools.partial(_mixture_h, a_dot=a_dot),
+        h=functools.partial(_h_from_parts, parts=drift_parts),
+        drift_parts=drift_parts,
         hess=functools.partial(_hess_from_parts, parts=mixture_parts),
         hess_parts=mixture_parts,
         r=0,
@@ -253,7 +265,8 @@ def make_double_well(d: int) -> TargetSpec:
         name="double-well",
         d=d,
         U=_double_well_u,
-        h=_double_well_h,
+        h=functools.partial(_h_from_parts, parts=_double_well_drift_parts),
+        drift_parts=_double_well_drift_parts,
         hess=functools.partial(_hess_from_parts, parts=_double_well_hess_parts),
         hess_parts=_double_well_hess_parts,
         r=2,
@@ -414,28 +427,41 @@ def marginal_pdf(target: TargetSpec) -> MarginalDensity:
 
 # --- assumption checkers ---
 
+# violation records a report keeps; n_violations counts them all
+_REPORTED = 10
+
+
 @dataclass
 class CheckReport:
     """Outcome of a sampled inequality check.  Violations are data, not
-    errors; an empty list certifies the constants on the sampled set."""
+    errors; a zero count certifies the constants on the sampled set.
+    ``violations`` holds the first ``_REPORTED`` records only."""
 
     target: str
     assumption: str
     points: int
+    n_violations: int
     violations: list
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return self.n_violations == 0
 
     def to_dict(self) -> dict:
         return {
             "target": self.target,
             "assumption": self.assumption,
             "points": self.points,
-            "n_violations": len(self.violations),
-            "violations": self.violations[:10],  # n_violations counts them all
+            "n_violations": self.n_violations,
+            "violations": self.violations,
         }
+
+
+def _report(target: TargetSpec, assumption: str, points: int, *found) -> CheckReport:
+    """A report over the (count, first records) pairs of ``_exceeds`` and
+    ``_falls_short``, in order."""
+    records = [r for _, rs in found for r in rs][:_REPORTED]
+    return CheckReport(target.name, assumption, points, sum(n for n, _ in found), records)
 
 
 # relative slack absorbing floating-point rounding at equality cases
@@ -456,18 +482,19 @@ def _uniform_in_ball(stream: RngStream, d: int, radius: float, n: int) -> np.nda
     return radius * (u ** (1.0 / d))[:, None] * (dirs / norms)
 
 
-def _violations(bad, lhs, rhs, xs, ys=None) -> list:
-    # JSON-ready records of the rows where ``bad`` holds
-    return [{"theta": xs[i].tolist(), "theta_prime": None if ys is None else ys[i].tolist(),
-             "lhs": float(lhs[i]), "rhs": float(rhs[i])} for i in np.nonzero(bad)[0]]
+def _violations(bad, lhs, rhs, xs, ys=None) -> tuple[int, list]:
+    # how many rows ``bad`` holds at, and JSON-ready records of the first few
+    rows = np.flatnonzero(bad)
+    return rows.size, [{"theta": xs[i].tolist(), "theta_prime": None if ys is None else ys[i].tolist(),
+                        "lhs": float(lhs[i]), "rhs": float(rhs[i])} for i in rows[:_REPORTED]]
 
 
-def _exceeds(lhs, rhs, xs, ys=None) -> list:
+def _exceeds(lhs, rhs, xs, ys=None) -> tuple[int, list]:
     # the rows breaking lhs <= rhs beyond rounding
     return _violations(lhs > rhs + _CHECK_RTOL * (1.0 + rhs), lhs, rhs, xs, ys)
 
 
-def _falls_short(lhs, rhs, xs, ys=None) -> list:
+def _falls_short(lhs, rhs, xs, ys=None) -> tuple[int, list]:
     # the rows breaking lhs >= rhs beyond rounding
     return _violations(lhs < rhs - _CHECK_RTOL * (1.0 + np.abs(rhs)), lhs, rhs, xs, ys)
 
@@ -489,9 +516,9 @@ def check_assumption_2(
     nx = np.linalg.norm(xs, axis=1)
     ny = np.linalg.norm(ys, axis=1)
     rhs = target.L * (1.0 + nx + ny) ** target.r * np.linalg.norm(xs - ys, axis=1)
-    violations = _exceeds(np.linalg.norm(hx - hy, axis=1), rhs, xs, ys)
-    violations += _exceeds(np.linalg.norm(hx, axis=1), target.K * (1.0 + nx ** (target.r + 1)), xs)
-    return CheckReport(target.name, "assumption-2", n_points, violations)
+    return _report(target, "assumption-2", n_points,
+                   _exceeds(np.linalg.norm(hx - hy, axis=1), rhs, xs, ys),
+                   _exceeds(np.linalg.norm(hx, axis=1), target.K * (1.0 + nx ** (target.r + 1)), xs))
 
 
 def check_assumption_3(
@@ -512,12 +539,12 @@ def check_assumption_3(
         rhs = target.a * dsq * (nx**target.r + ny**target.r) - target.b * dsq * (
             _pow0(nx, target.r_bar) + _pow0(ny, target.r_bar)
         )
-        violations = _falls_short(lhs, rhs, xs, ys)
+        found = _falls_short(lhs, rhs, xs, ys)
     else:
         hx = np.atleast_2d(target.h(xs))
         rhs = target.a_tilde * np.sum(xs * xs, axis=1) - target.b_tilde
-        violations = _falls_short(np.sum(xs * hx, axis=1), rhs, xs)
-    return CheckReport(target.name, "assumption-3", n_points, violations)
+        found = _falls_short(np.sum(xs * hx, axis=1), rhs, xs)
+    return _report(target, "assumption-3", n_points, found)
 
 
 def _dense(target: TargetSpec, fn, *rows) -> np.ndarray:
@@ -576,14 +603,21 @@ def hessian_diff_norm(target: TargetSpec, xs: np.ndarray, ys: np.ndarray) -> np.
     return np.maximum(out, np.abs(shift)) if target.d > 2 else out
 
 
-def hessian_vector_product(target: TargetSpec, ys: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """H(y) w for each row pair of ys, ws (n, d)."""
+def hessian_vector_product(target: TargetSpec, ys: np.ndarray, ws: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """H(y) w for each row pair of ys, ws (n, d), written into ``out`` when
+    given; ``out`` may be ``ws`` itself."""
     ys, ws = np.asarray(ys, dtype=float), np.asarray(ws, dtype=float)
     if target.hess_parts is None:
-        return _dense(target, lambda y, w: np.einsum("nij,nj->ni", target.hess(y), w), ys, ws)
+        hw = _dense(target, lambda y, w: np.einsum("nij,nj->ni", target.hess(y), w), ys, ws)
+        if out is None:
+            return hw
+        out[...] = hw
+        return out
     s, c, v = target.hess_parts(ys)
-    out = (c * np.einsum("...i,...i->...", v, ws))[..., None] * v
-    out += s[..., None] * ws
+    rank_one = (c * np.einsum("...i,...i->...", v, ws))[..., None] * v
+    out = np.multiply(s[..., None], ws, out=out)
+    out += rank_one
     return out
 
 
@@ -596,5 +630,4 @@ def check_assumption_4(
     ys = _uniform_in_ball(stream, target.d, radius, n_points)
     rhs = (target.L_grad * (1.0 + np.linalg.norm(xs, axis=1) + np.linalg.norm(ys, axis=1)) ** target.nu
            * np.linalg.norm(xs - ys, axis=1))
-    violations = _exceeds(hessian_diff_norm(target, xs, ys), rhs, xs, ys)
-    return CheckReport(target.name, "assumption-4", n_points, violations)
+    return _report(target, "assumption-4", n_points, _exceeds(hessian_diff_norm(target, xs, ys), rhs, xs, ys))

@@ -16,9 +16,10 @@ single chain is a one-row block of the same kernel.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,18 @@ class EmpiricalMeasure:
     trace_steps: list = field(default_factory=list)
 
 
+def _taming_divisor(r: int, lam: float, sq, out):
+    """(1 + lam |theta|^{2r})^{1/2} from sq = |theta|^2, into the array
+    ``out``: a constant when r = 0 (0^0 = 1, including at theta = 0)."""
+    if r == 0:
+        return math.sqrt(1.0 + lam)
+    out = np.multiply(sq, lam, out=out)
+    for _ in range(r - 1):
+        out *= sq
+    out += 1.0
+    return np.sqrt(out, out=out)
+
+
 def tamed_gradient(target: TargetSpec, theta: np.ndarray, lam: float) -> np.ndarray:
     """Gradient divided by (1 + lam |theta|^{2r})^{1/2}.
 
@@ -106,12 +119,44 @@ def tamed_gradient(target: TargetSpec, theta: np.ndarray, lam: float) -> np.ndar
     if lam <= 0:
         raise ValueError("lam must be positive")
     theta = np.asarray(theta, dtype=float)
-    hval = target.h(theta)
-    if target.r == 0:
-        return hval / math.sqrt(1.0 + lam)
     sq = row_norm_sq(theta)
-    denom = np.sqrt(1.0 + lam * sq**target.r)
-    return hval / (denom[..., None] if theta.ndim > 1 else denom)
+    denom = _taming_divisor(target.r, lam, sq, np.empty(np.shape(sq)))
+    return target.h(theta) / np.expand_dims(denom, -1)
+
+
+def _advance(parts, r, tamed, lam, theta, xi, sq, f, work) -> None:
+    """One update of every row of ``theta`` (m, d), in place:
+
+        theta <- theta (1 - g a) - g c + xi,  g = lam / D,
+
+    with h = a theta + c the target's drift parts, D the taming divisor
+    (1 for ula) and ``xi`` the scaled noise.  ``sq``, ``f`` (m,) and
+    ``work`` (m, d) are scratch buffers; every row is computed apart from
+    the others, so a subset of rows steps to the same bits.
+    """
+    row_norm_sq(theta, out=sq)
+    a, c = parts(theta, sq)
+    g = np.divide(lam, _taming_divisor(r, lam, sq, f), out=f) if tamed else lam
+    if c is not None:
+        np.multiply(c, np.reshape(g, (-1, 1)), out=work)
+    np.multiply(a, g, out=f)
+    np.subtract(1.0, f, out=f)
+    theta *= f[:, None]
+    if c is not None:
+        theta -= work
+    theta += xi
+
+
+# doubles of Gaussian noise one kernel call holds, blocks and staging
+# arrays of at most _STAGING each together.  Tests lower it so that a run
+# spans many blocks.
+_NOISE_BUDGET = 8_000_000
+_STAGING = 2**18  # 2 MB
+# draws per RngStream.normal call below which the helper thread costs more
+# in handing the interpreter lock back and forth than it saves: on a 2-core
+# Xeon it made d=1 x 10,000 chains (373 draws a call) 37% slower and
+# d=1 x 5,000 (747) 19% faster
+_OVERLAP_DRAWS = 512
 
 
 def _run_chain_block(
@@ -127,9 +172,17 @@ def _run_chain_block(
 ):
     """Advance chains ``indices`` in vectorized lockstep.
 
-    Noise is pre-drawn per chain in blocks; the per-chain value sequence
-    is identical to stepping that chain alone, so partitioning chains
-    across workers cannot change any output.
+    Noise is drawn per chain in blocks of steps, into two buffers: while
+    this thread steps through one block, a helper thread fills the next,
+    in chunks of chains taken from a shared counter; when the steps are
+    done this thread takes the chunks left, then waits for the helper.
+    When a chain's block would hold fewer than ``_OVERLAP_DRAWS`` draws,
+    this thread fills every block itself, into one buffer of twice the
+    size.
+    Chain j's draws land at fixed positions whichever thread makes them,
+    and its value sequence is that of stepping it alone, so neither the
+    threads' scheduling nor the partition of chains across workers can
+    change any output.
     """
     indices = list(indices)
     m = len(indices)
@@ -139,44 +192,78 @@ def _run_chain_block(
     active = np.ones(m, dtype=bool)
     diverged = []
     scale = math.sqrt(2.0 * lam / beta)
+    # h = a theta + c, as (a, c); a hand-built target's drift is all remainder
+    parts = target.drift_parts or (lambda theta, sq: (0.0, target.h(theta)))
     tamed = algorithm != "ula"
-    block = max(1, min(n_steps, int(8_000_000 // max(1, m * d))))
+
+    def block_for(share):
+        # steps whose noise, with one staging array, fits ``share`` doubles;
+        # a chain's block fits one staging array when the budget allows
+        return max(1, min(n_steps, (share - _STAGING) // (m * d), _STAGING // d))
+
+    # with the helper, two buffers of half the budget; without, one of all
+    block = block_for(_NOISE_BUDGET // 2)
+    overlap = block * d >= _OVERLAP_DRAWS
+    if not overlap:
+        block = block_for(_NOISE_BUDGET)
+    chunk = max(1, min(m, _STAGING // (block * d)))
+    n_blocks = -(-n_steps // block)
+    noise = [np.empty((block, m, d)) for _ in range(min(1 + overlap, n_blocks))]
+    staging = [np.empty(chunk * block * d) for _ in range(1 + overlap)]  # this thread's, the helper's
+    sq, f, work = np.empty(m), np.empty(m), np.empty((m, d))
     kept = [] if keep_every else None
     kept_steps = [] if keep_every else None
 
+    def fill(k, stage, next_chunk):
+        # draw chunks of block k's noise, scaled, until none is left
+        b = min(block, n_steps - k * block)
+        out = noise[k % len(noise)]
+        while (j0 := next_chunk() * chunk) < m:
+            j1 = min(m, j0 + chunk)
+            draws = stage[:(j1 - j0) * b * d].reshape(j1 - j0, b, d)
+            for j in range(j0, j1):
+                streams[j].normal((b, d), out=draws[j - j0])
+            np.multiply(draws.transpose(1, 0, 2), scale, out=out[:b, j0:j1])
+
+    def start(k):
+        next_chunk = itertools.count().__next__
+        return (helper.submit(fill, k, staging[1], next_chunk) if overlap else None), next_chunk
+
     step = 0
-    noise = np.empty((block, m, d))
-    while step < n_steps:
-        b = min(block, n_steps - step)
-        for j, s in enumerate(streams):
-            noise[:b, j, :] = s.normal((b, d))
-        for t in range(b):
-            step += 1
-            all_active = active.all()
-            if all_active:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    drift = tamed_gradient(target, theta, lam) if tamed else target.h(theta)
-                    theta -= lam * drift
-                    theta += scale * noise[t]
-                suspect = not np.isfinite(theta.sum())
-            elif active.any():
-                th = theta[active]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    drift = tamed_gradient(target, th, lam) if tamed else target.h(th)
-                    theta[active] = th - lam * drift + scale * noise[t, active, :]
-                suspect = True
-            else:
-                suspect = False
-            if suspect:
-                finite = np.isfinite(theta).all(axis=1)
-                newly = active & ~finite
-                if newly.any():
-                    for j in np.nonzero(newly)[0]:
-                        diverged.append((indices[j], step))
-                    active &= finite
-            if keep_every and (step % keep_every == 0 or step == n_steps):
-                kept.append(theta.copy())
-                kept_steps.append(step)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = start(0)
+        for k in range(n_blocks):
+            filling, next_chunk = pending
+            fill(k, staging[0], next_chunk)
+            if overlap:
+                filling.result()
+            if k + 1 < n_blocks:
+                pending = start(k + 1)
+            xi = noise[k % len(noise)]
+            for t in range(min(block, n_steps - step)):
+                step += 1
+                if active.all():
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        _advance(parts, target.r, tamed, lam, theta, xi[t], sq, f, work)
+                    suspect = not np.isfinite(theta.sum())
+                elif active.any():
+                    th, n = theta[active], int(active.sum())
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        _advance(parts, target.r, tamed, lam, th, xi[t, active], sq[:n], f[:n], work[:n])
+                    theta[active] = th
+                    suspect = True
+                else:
+                    suspect = False
+                if suspect:
+                    finite = np.isfinite(theta).all(axis=1)
+                    newly = active & ~finite
+                    if newly.any():
+                        for j in np.nonzero(newly)[0]:
+                            diverged.append((indices[j], step))
+                        active &= finite
+                if keep_every and (step % keep_every == 0 or step == n_steps):
+                    kept.append(theta.copy())
+                    kept_steps.append(step)
 
     trace = np.stack(kept, axis=1) if kept else None
     return theta, active, diverged, trace, (kept_steps or [])

@@ -293,6 +293,23 @@ class TestAssumptionCheckers:
         assert v["lhs"] > v["rhs"]
         assert v["theta_prime"] is not None
 
+    def test_report_keeps_first_records_and_exact_count(self):
+        # 9,703 of 10,000 pairs break the Hessian bound at L_grad = 0.5 (the
+        # count `check --dim 10 --seed 1 --override L_grad=0.5` reports);
+        # only the 10 records the payload lists are built
+        t = override_constants(make_double_well(10), L_grad=0.5)
+        rep = check_assumption_4(t, 10_000, 10.0, RngStream(1, 2))
+        assert rep.n_violations == 9703
+        assert len(rep.violations) == 10
+        assert not rep.ok
+        # records are the first violating pairs in draw order, over both
+        # inequalities of assumption 2 in turn
+        t = override_constants(make_double_well(4), L=0.01)
+        rep = check_assumption_2(t, 6, 10.0, RngStream(2, 0))
+        xs = potentials._uniform_in_ball(RngStream(2, 0), 4, 10.0, 6)
+        assert rep.n_violations == 6
+        assert [v["theta"] for v in rep.violations] == xs.tolist()
+
     def test_report_shape(self):
         rep = check_assumption_3(make_gaussian(2), 100, 5.0, RngStream(3, 0))
         d = rep.to_dict()
@@ -404,6 +421,19 @@ class TestExactHessianNorms:
         assert np.all(np.abs(hessian_norm(t, xs) - norm_x) <= tol)
         hv = np.einsum("nij,nj->ni", hy, ws)
         assert np.all(np.abs(hessian_vector_product(t, ys, ws) - hv) <= tol[:, None] * (1.0 + np.abs(ws)))
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_product_bits_and_out(self, name):
+        # H(y) w is c (v.w) v + s w to the bit, whether written into a new
+        # array or into w itself
+        t = make_target(name, 7)
+        ys, ws = random_points(8, 40, 7, 5.0), random_points(9, 40, 7, 1.0)
+        s, c, v = t.hess_parts(ys)
+        expected = (c * np.einsum("...i,...i->...", v, ws))[..., None] * v + s[..., None] * ws
+        assert np.array_equal(hessian_vector_product(t, ys, ws), expected)
+        scratch = ws.copy()
+        assert hessian_vector_product(t, ys, scratch, out=scratch) is scratch
+        assert np.array_equal(scratch, expected)
 
     def test_hand_built_fallback_agrees(self):
         # the same target without the Hessian's structure goes through eigvalsh

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -16,6 +18,8 @@ from tamedlmc.potentials import (
     marginal_pdf,
     row_norm_sq,
 )
+from tamedlmc import sampler
+from tamedlmc.numerics import RngStream
 from tamedlmc.sampler import (
     DivergenceError,
     SamplerConfig,
@@ -31,10 +35,19 @@ from tamedlmc.sampler import (
 from tamedlmc.constants import derive_constants, step_size_limits_for_target
 
 
-def step_alone(target, lam, beta, theta, gen):
-    # one tamed update of a single chain, written out apart from the sampler
-    h = target.h(theta) / np.sqrt(1.0 + lam * row_norm_sq(theta) ** target.r)
-    return theta - lam * h + math.sqrt(2.0 * lam / beta) * gen.standard_normal(theta.size)
+def step_alone(target, lam, beta, theta, gen, tamed=True):
+    # one update of a single chain, written out apart from the sampler:
+    # with h = a theta + c (a hand-built target's is (0, h)) and
+    # g = lam / (1 + lam |theta|^{2r})^{1/2} (lam untamed),
+    # theta (1 - g a) - g c + sqrt(2 lam / beta) xi
+    sq = row_norm_sq(theta)
+    parts = target.drift_parts or (lambda x, _: (0.0, target.h(x)))
+    a, c = parts(theta, sq)
+    g = lam / math.sqrt(math.prod([lam] + [sq] * target.r) + 1.0) if tamed else lam  # ((lam sq) sq) ...
+    theta = theta * (1.0 - a * g)
+    if c is not None:
+        theta = theta - c * g
+    return theta + math.sqrt(2.0 * lam / beta) * gen.standard_normal(theta.size)
 
 
 def chain_alone(target, cfg, i):
@@ -42,8 +55,9 @@ def chain_alone(target, cfg, i):
     seq = np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(i,))
     gen = np.random.Generator(np.random.PCG64(seq))
     theta = cfg.theta0.copy()
-    for _ in range(cfg.n_steps):
-        theta = step_alone(target, cfg.lam, cfg.beta, theta, gen)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.n_steps):
+            theta = step_alone(target, cfg.lam, cfg.beta, theta, gen, cfg.algorithm != "ula")
     return theta
 
 
@@ -269,6 +283,94 @@ class TestRunChains:
         cfg = SamplerConfig(lam=0.1, beta=1.0, d=2, n_chains=1, horizon=1.0, master_seed=0)
         with pytest.raises(ValueError):
             run_chains(cfg, make_gaussian(3))
+
+
+class TestNoiseBlocks:
+    """The kernel fills the next block of noise on a helper thread while it
+    steps the current one; with the noise budget cut, a short run spans
+    many blocks."""
+
+    @pytest.fixture(params=[True, False], ids=["helper", "alone"])
+    def small_blocks(self, request, monkeypatch):
+        # with the helper thread, 7 chains at d = 3 (or 9 at d = 2) step in
+        # blocks of 5 (6) steps filled in chunks of 2 chains, so the last
+        # block is short and the last chunk a single chain; alone, in one
+        # buffer of blocks of 10 (13) steps, in chunks of 1 chain; forked
+        # workers inherit the cut.  Returns the block lengths of 23 steps
+        # at d = 3.
+        monkeypatch.setattr(sampler, "_NOISE_BUDGET", 280)
+        monkeypatch.setattr(sampler, "_STAGING", 30)
+        monkeypatch.setattr(sampler, "_OVERLAP_DRAWS", 1 if request.param else 10**6)
+        return [5, 5, 5, 5, 3] if request.param else [10, 10, 3]
+
+    @staticmethod
+    def hand_built(d):
+        dw = make_double_well(d)
+        return replace(dw, name="hand-built", drift_parts=None)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("name", ["gaussian", "mixture", "double-well", "hand-built"])
+    def test_many_blocks_match_single_chain_stepping(self, small_blocks, monkeypatch,
+                                                     name, n_workers):
+        t = self.hand_built(3) if name == "hand-built" else make_target(name, 3)
+        cfg = SamplerConfig(lam=0.05, beta=1.5, d=3, n_chains=7, horizon=23 * 0.05,
+                            master_seed=8, theta0=np.array([1.5, -0.5, 0.25]))
+        assert cfg.n_steps == 23
+        blocks = {}
+        draw = RngStream.normal
+
+        def spy(stream, shape, out=None):
+            blocks.setdefault(stream.stream_index, []).append(shape[0])
+            return draw(stream, shape, out)
+
+        monkeypatch.setattr(RngStream, "normal", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m = run_chains(cfg, t, n_workers=n_workers)
+        if n_workers == 1:
+            assert blocks == {i: small_blocks for i in range(7)}
+        for i in range(7):
+            assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_survivors_of_a_divergence_match(self, small_blocks, n_workers):
+        # untamed steps at lam = 0.4 lose 7 of 9 chains between steps 9 and 20
+        t = make_double_well(2)
+        cfg = SamplerConfig(lam=0.4, beta=1.0, d=2, n_chains=9, horizon=23 * 0.4,
+                            master_seed=1, algorithm="ula")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m = run_chains(cfg, t, n_workers=n_workers)
+        lost = {c["chain"] for c in m.meta["diverged_chains"]}
+        assert len(lost) == 7 and 9 <= min(c["step"] for c in m.meta["diverged_chains"])
+        assert list(m.chain_ids) == [i for i in range(9) if i not in lost]
+        for row, i in enumerate(m.chain_ids):
+            assert np.array_equal(chain_alone(t, cfg, i), m.samples[row]), i
+        assert all(not np.all(np.isfinite(chain_alone(t, cfg, i))) for i in lost)
+
+    def test_lock_handed_over_every_microsecond(self, small_blocks):
+        # three worker processes (more than this host's cores), each with
+        # its helper, switching threads as often as the interpreter allows,
+        # still put every chain's draws at its own places
+        t = make_double_well(3)
+        cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=21, horizon=23 * 0.05, master_seed=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                m = run_chains(cfg, t, n_workers=3)
+        finally:
+            sys.setswitchinterval(interval)
+        for i in range(21):
+            assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_no_thread_outlives_the_run(self, small_blocks, n_workers):
+        cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
+        before = threading.active_count()
+        run_chains(cfg, make_gaussian(3), n_workers=n_workers)
+        assert threading.active_count() == before
 
 
 class TestGaussianClosedForm:
