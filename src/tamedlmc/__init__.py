@@ -10,8 +10,6 @@ from .numerics import (
     QuadratureError,
     QuadratureResult,
     RngStream,
-    finite_diff_gradient,
-    finite_diff_jacobian,
     integrate_semi_infinite,
     log_gamma,
 )

@@ -179,19 +179,25 @@ def _parse_settings(args, settings: dict, source: str) -> dict:
     return {key.replace("-", "_"): parsed[key.replace("-", "_")] for key in settings}
 
 
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in ``path``; a file that cannot be read or parsed,
+    or holds anything else, is a usage error naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise UsageError(f"{what} {path} must contain a JSON object")
+    return obj
+
+
 def _load_config(args) -> dict:
     """The ``--config`` file's settings, keyed by manifest key."""
     path = getattr(args, "config", None)
     if not path:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise UsageError("config file must contain a JSON object")
-    return _parse_settings(args, cfg, path)
+    return _parse_settings(args, _read_json_object(path, "config file"), path)
 
 
 def _resolve(args) -> tuple[dict, set]:
@@ -308,11 +314,8 @@ def cmd_histogram(opts, explicit) -> int:
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read samples from {in_path}: {exc}") from exc
 
-    meta = {}
     meta_path = in_path.with_suffix(".meta.json")
-    if meta_path.exists():
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+    meta = _read_json_object(meta_path, "metadata file") if meta_path.exists() else {}
     beta = meta.get("beta", 1.0)
     if beta != 1.0:
         raise UsageError(

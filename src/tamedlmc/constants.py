@@ -62,8 +62,6 @@ def derive_bar_constants(target: TargetSpec):
     """
     K = mpf(target.K)
     if target.r > 0:
-        if target.a is None or target.b is None or target.r_bar is None:
-            raise ValueError("target with r > 0 must populate (a, b, r_bar)")
         r, r_bar = mpf(target.r), mpf(target.r_bar)
         a, b = mpf(target.a), mpf(target.b)
         R = max((4 * b / a) ** (1 / (r - r_bar)), mpf(2) ** (1 / r))
@@ -71,8 +69,6 @@ def derive_bar_constants(target: TargetSpec):
         b_bar = (b + a / 2) * R ** (r_bar + 2) + K**2 / (2 * a)
         b_bar_prime = b_bar + mpf(2) ** (2 / r) * a_bar
         return a_bar, b_bar, b_bar_prime, R
-    if target.a_tilde is None or target.b_tilde is None:
-        raise ValueError("target with r = 0 must populate (a_tilde, b_tilde)")
     a_bar = mpf(target.a_tilde)
     b_tilde = mpf(target.b_tilde)
     return a_bar, b_tilde, b_tilde, None

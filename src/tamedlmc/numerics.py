@@ -1,5 +1,5 @@
 """Foundation layer: seedable Gaussian streams, special functions (from
-``math``), Gauss-Legendre quadrature on panels, and finite differences.
+``math``), and Gauss-Legendre quadrature on panels.
 
 Everything here is deterministic given its inputs.  Randomness flows
 exclusively through :class:`RngStream`, so any computation seeded by a
@@ -185,40 +185,6 @@ def _octave_panel(g, a: float, b: float) -> tuple[float, float]:
     value, magnitude = rule(_PANEL_NODES)
     coarse, _ = rule(_PANEL_NODES // 2)
     return value, abs(value - coarse) + _PANEL_NODES * np.finfo(float).eps * magnitude
-
-
-def finite_diff_gradient(U, theta: np.ndarray, step: float | None = None) -> np.ndarray:
-    """Central-difference gradient of a scalar field at theta.
-
-    Default step is 1e-5 relative to (1 + |theta|).
-    """
-    theta = np.asarray(theta, dtype=float)
-    if step is None:
-        step = 1e-5 * (1.0 + float(np.linalg.norm(theta)))
-    if step <= 0:
-        raise ValueError("step must be positive")
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
-        e[i] = step
-        grad[i] = (U(theta + e) - U(theta - e)) / (2.0 * step)
-    return grad
-
-
-def finite_diff_jacobian(f, theta: np.ndarray, step: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian of a vector field at theta (columns are
-    partials), used to validate analytic Hessians."""
-    theta = np.asarray(theta, dtype=float)
-    if step is None:
-        step = 1e-5 * (1.0 + float(np.linalg.norm(theta)))
-    if step <= 0:
-        raise ValueError("step must be positive")
-    cols = []
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
-        e[i] = step
-        cols.append((np.asarray(f(theta + e)) - np.asarray(f(theta - e))) / (2.0 * step))
-    return np.stack(cols, axis=1)
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)

@@ -1,16 +1,16 @@
 """Benchmark sampling targets and their structural certificates.
 
-Each target bundles the potential U, its gradient h, the Hessian of U,
-and the growth/dissipativity constants under which the tamed chain's
-guarantees hold.  Three built-ins ship: an isotropic Gaussian, a
-symmetric two-component Gaussian mixture, and the double-well potential
-(the canonical non-convex target whose gradient grows cubically).
+Each target bundles the potential U, the parts of its gradient h and of
+the Hessian of U, and the growth/dissipativity constants under which the
+tamed chain's guarantees hold.  Three built-ins ship: an isotropic
+Gaussian, a symmetric two-component Gaussian mixture, and the double-well
+potential (the canonical non-convex target whose gradient grows cubically).
 
-``U``, ``h`` and ``hess`` accept points of shape (d,) or batches (..., d);
-``hess`` returns (..., d, d).  A built-in target's Hessian is a scalar times
-I plus a rank-one term, which gives its operator norms exactly in O(d) per
-point.  A built-in target also carries what is known of its law: first
-marginal, second moment, exact draw.
+``U`` and ``h`` accept points of shape (d,) or batches (..., d).  The drift
+is h = a theta + c and the Hessian a scalar times I plus a rank-one term,
+which gives its operator norms exactly in O(d) per point.  A built-in
+target also carries what is known of its law: first marginal, second
+moment, exact draw.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ def row_norm_sq(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """A potential with gradient, Hessian and assumption constants.
+    """A potential, the parts of its gradient and Hessian, and assumption
+    constants.
 
     r and nu are the polynomial growth exponents of the gradient and of
     the Hessian's Lipschitz modulus.  Exactly one of the dissipativity
@@ -52,8 +53,12 @@ class TargetSpec:
     name: str
     d: int
     U: Callable
-    h: Callable
-    hess: Callable
+    # (theta (..., d), |theta|^2 (...)) -> (a, c) with h = a theta + c: a is
+    # a float or (...), c is None or (..., d)
+    drift_parts: Callable
+    # (..., d) -> (scale (...), coef (...), vec (..., d)) with
+    # hess = scale I + coef vec vec^T
+    hess_parts: Callable
     r: int
     nu: int
     L: float
@@ -64,13 +69,6 @@ class TargetSpec:
     r_bar: float | None = None
     a_tilde: float | None = None
     b_tilde: float | None = None
-    # (..., d) -> (scale (...), coef (...), vec (..., d)) with
-    # hess = scale I + coef vec vec^T; None for a hand-built target
-    hess_parts: Callable | None = None
-    # (theta (..., d), |theta|^2 (...)) -> (a, c) with h = a theta + c: a is
-    # a float or (...), c is None or (..., d); None for a hand-built target,
-    # whose drift is then (0, h)
-    drift_parts: Callable | None = None
     # facts about the law, None where unknown (a hand-built target)
     marginal: Callable | None = None  # first-coordinate density at beta = 1
     second_moment: Callable | None = None  # beta -> E_pi |theta|^2
@@ -90,9 +88,12 @@ class TargetSpec:
         if self.r > 0 and not (0 <= self.r_bar < self.r):
             raise ValueError("r_bar must lie in [0, r)")
 
-    @property
-    def r_star(self) -> int:
-        return max(8 * self.r + 8, 4 * self.nu + 4, 2 * self.nu + 2 * self.r + 4)
+    def h(self, theta) -> np.ndarray:
+        """The gradient a theta + c of U at theta (d,) or (..., d)."""
+        theta = np.asarray(theta, dtype=float)
+        a, c = self.drift_parts(theta, row_norm_sq(theta))
+        h = np.expand_dims(a, -1) * theta
+        return h if c is None else h + c
 
 
 # --- built-in potentials (module level so targets pickle across workers) ---
@@ -102,13 +103,6 @@ def _gaussian_u(theta):
     return 0.5 * row_norm_sq(theta)
 
 
-def _h_from_parts(theta, parts):
-    theta = np.asarray(theta, dtype=float)
-    a, c = parts(theta, row_norm_sq(theta))
-    h = np.expand_dims(a, -1) * theta
-    return h if c is None else h + c
-
-
 def _gaussian_drift_parts(theta, sq):
     return 1.0, None
 
@@ -116,12 +110,6 @@ def _gaussian_drift_parts(theta, sq):
 def _gaussian_hess_parts(theta):
     shape = np.shape(theta)
     return np.ones(shape[:-1]), np.zeros(shape[:-1]), np.zeros(shape)
-
-
-def _hess_from_parts(theta, parts):
-    scale, coef, vec = parts(np.asarray(theta, dtype=float))
-    outer = vec[..., :, None] * vec[..., None, :]
-    return scale[..., None, None] * np.eye(vec.shape[-1]) + coef[..., None, None] * outer
 
 
 def _gaussian_second_moment(beta, d):
@@ -204,9 +192,7 @@ def make_gaussian(d: int) -> TargetSpec:
         name="gaussian",
         d=d,
         U=_gaussian_u,
-        h=functools.partial(_h_from_parts, parts=_gaussian_drift_parts),
         drift_parts=_gaussian_drift_parts,
-        hess=functools.partial(_hess_from_parts, parts=_gaussian_hess_parts),
         hess_parts=_gaussian_hess_parts,
         r=0,
         nu=0,
@@ -233,16 +219,12 @@ def make_gaussian_mixture(d: int, a_dot: np.ndarray | None = None) -> TargetSpec
     if a_dot.shape != (d,):
         raise ValueError(f"a_dot must have shape ({d},)")
     norm_a = float(np.linalg.norm(a_dot))
-    mixture_parts = functools.partial(_mixture_hess_parts, a_dot=a_dot)
-    drift_parts = functools.partial(_mixture_drift_parts, a_dot=a_dot)
     return TargetSpec(
         name="mixture",
         d=d,
         U=functools.partial(_mixture_u, a_dot=a_dot),
-        h=functools.partial(_h_from_parts, parts=drift_parts),
-        drift_parts=drift_parts,
-        hess=functools.partial(_hess_from_parts, parts=mixture_parts),
-        hess_parts=mixture_parts,
+        drift_parts=functools.partial(_mixture_drift_parts, a_dot=a_dot),
+        hess_parts=functools.partial(_mixture_hess_parts, a_dot=a_dot),
         r=0,
         nu=0,
         L=1.0 + 4.0 * norm_a**2,
@@ -265,9 +247,7 @@ def make_double_well(d: int) -> TargetSpec:
         name="double-well",
         d=d,
         U=_double_well_u,
-        h=functools.partial(_h_from_parts, parts=_double_well_drift_parts),
         drift_parts=_double_well_drift_parts,
-        hess=functools.partial(_hess_from_parts, parts=_double_well_hess_parts),
         hess_parts=_double_well_hess_parts,
         r=2,
         nu=1,
@@ -547,23 +527,10 @@ def check_assumption_3(
     return _report(target, "assumption-3", n_points, found)
 
 
-def _dense(target: TargetSpec, fn, *rows) -> np.ndarray:
-    # fn over blocks of rows, for a hand-built target's stacked (rows, d, d)
-    # Hessians; a block holds about 2^20 entries (8 MB)
-    step = max(1, 2**20 // target.d**2)
-    return np.concatenate([fn(*(r[i:i + step] for r in rows)) for i in range(0, len(rows[0]), step)])
-
-
-def _eig_norm(mats):
-    return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
-
-
 def hessian_norm(target: TargetSpec, xs: np.ndarray) -> np.ndarray:
     """|H(x)| in operator norm for each row of xs (n, d): s + c|v|^2 along v
-    and s on its complement (d >= 2), or eigvalsh without the structure."""
+    and s on its complement (d >= 2)."""
     xs = np.asarray(xs, dtype=float)
-    if target.hess_parts is None:
-        return _dense(target, lambda x: _eig_norm(target.hess(x)), xs)
     s, c, v = target.hess_parts(xs)
     along = np.abs(s + c * row_norm_sq(v))
     return along if target.d == 1 else np.maximum(np.abs(s), along)
@@ -578,8 +545,6 @@ def hessian_diff_norm(target: TargetSpec, xs: np.ndarray, ys: np.ndarray) -> np.
     as does the complement of the span (non-empty when d >= 3).
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    if target.hess_parts is None:
-        return _dense(target, lambda x, y: _eig_norm(target.hess(x) - target.hess(y)), xs, ys)
     sx, cx, u = target.hess_parts(xs)
     sy, cy, v = target.hess_parts(ys)
     shift = sx - sy
@@ -608,12 +573,6 @@ def hessian_vector_product(target: TargetSpec, ys: np.ndarray, ws: np.ndarray,
     """H(y) w for each row pair of ys, ws (n, d), written into ``out`` when
     given; ``out`` may be ``ws`` itself."""
     ys, ws = np.asarray(ys, dtype=float), np.asarray(ws, dtype=float)
-    if target.hess_parts is None:
-        hw = _dense(target, lambda y, w: np.einsum("nij,nj->ni", target.hess(y), w), ys, ws)
-        if out is None:
-            return hw
-        out[...] = hw
-        return out
     s, c, v = target.hess_parts(ys)
     rank_one = (c * np.einsum("...i,...i->...", v, ws))[..., None] * v
     out = np.multiply(s[..., None], ws, out=out)

@@ -20,7 +20,7 @@ import itertools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,8 +94,6 @@ class EmpiricalMeasure:
     samples: np.ndarray
     meta: dict
     chain_ids: np.ndarray
-    trace: np.ndarray | None = None  # (chains, kept, d) when requested
-    trace_steps: list = field(default_factory=list)
 
 
 def _taming_divisor(r: int, lam: float, sq, out):
@@ -168,9 +166,10 @@ def _run_chain_block(
     n_steps: int,
     master_seed: int,
     indices,
-    keep_every: int | None = None,
 ):
-    """Advance chains ``indices`` in vectorized lockstep.
+    """Advance chains ``indices`` in vectorized lockstep; returns their
+    final iterates, which of them stayed finite, and (chain, step) of each
+    divergence.
 
     Noise is drawn per chain in blocks of steps, into two buffers: while
     this thread steps through one block, a helper thread fills the next,
@@ -192,8 +191,6 @@ def _run_chain_block(
     active = np.ones(m, dtype=bool)
     diverged = []
     scale = math.sqrt(2.0 * lam / beta)
-    # h = a theta + c, as (a, c); a hand-built target's drift is all remainder
-    parts = target.drift_parts or (lambda theta, sq: (0.0, target.h(theta)))
     tamed = algorithm != "ula"
 
     def block_for(share):
@@ -211,8 +208,6 @@ def _run_chain_block(
     noise = [np.empty((block, m, d)) for _ in range(min(1 + overlap, n_blocks))]
     staging = [np.empty(chunk * block * d) for _ in range(1 + overlap)]  # this thread's, the helper's
     sq, f, work = np.empty(m), np.empty(m), np.empty((m, d))
-    kept = [] if keep_every else None
-    kept_steps = [] if keep_every else None
 
     def fill(k, stage, next_chunk):
         # draw chunks of block k's noise, scaled, until none is left
@@ -244,12 +239,13 @@ def _run_chain_block(
                 step += 1
                 if active.all():
                     with np.errstate(over="ignore", invalid="ignore"):
-                        _advance(parts, target.r, tamed, lam, theta, xi[t], sq, f, work)
+                        _advance(target.drift_parts, target.r, tamed, lam, theta, xi[t], sq, f, work)
                     suspect = not np.isfinite(theta.sum())
                 elif active.any():
                     th, n = theta[active], int(active.sum())
                     with np.errstate(over="ignore", invalid="ignore"):
-                        _advance(parts, target.r, tamed, lam, th, xi[t, active], sq[:n], f[:n], work[:n])
+                        _advance(target.drift_parts, target.r, tamed, lam, th, xi[t, active],
+                                 sq[:n], f[:n], work[:n])
                     theta[active] = th
                     suspect = True
                 else:
@@ -261,19 +257,13 @@ def _run_chain_block(
                         for j in np.nonzero(newly)[0]:
                             diverged.append((indices[j], step))
                         active &= finite
-                if keep_every and (step % keep_every == 0 or step == n_steps):
-                    kept.append(theta.copy())
-                    kept_steps.append(step)
-
-    trace = np.stack(kept, axis=1) if kept else None
-    return theta, active, diverged, trace, (kept_steps or [])
+    return theta, active, diverged
 
 
 def run_chains(
     config: SamplerConfig,
     target: TargetSpec,
     n_workers: int = 1,
-    keep_every: int | None = None,
 ) -> EmpiricalMeasure:
     """Run ``n_chains`` independent chains and collect their final iterates.
 
@@ -303,21 +293,16 @@ def run_chains(
         config.master_seed,
     )
     if n_workers <= 1 or config.n_chains == 1:
-        blocks = [_run_chain_block(*args, indices, keep_every)]
+        blocks = [_run_chain_block(*args, indices)]
     else:
         parts = [p for p in np.array_split(indices, n_workers) if p.size]
         with ProcessPoolExecutor(max_workers=len(parts)) as pool:
-            futures = [
-                pool.submit(_run_chain_block, *args, part, keep_every) for part in parts
-            ]
+            futures = [pool.submit(_run_chain_block, *args, part) for part in parts]
             blocks = [f.result() for f in futures]
 
     theta = np.concatenate([b[0] for b in blocks], axis=0)
     active = np.concatenate([b[1] for b in blocks], axis=0)
     diverged = sorted(d for b in blocks for d in b[2])
-    traces = [b[3] for b in blocks]
-    trace = np.concatenate(traces, axis=0) if keep_every and traces[0] is not None else None
-    trace_steps = blocks[0][4]
 
     if not active.any():
         raise DivergenceError(
@@ -335,13 +320,7 @@ def run_chains(
         "n_chains": config.n_chains,
         "diverged_chains": [{"chain": int(c), "step": int(s)} for c, s in diverged],
     }
-    return EmpiricalMeasure(
-        samples=theta[active],
-        meta=meta,
-        chain_ids=indices[active],
-        trace=trace[active] if trace is not None else None,
-        trace_steps=trace_steps,
-    )
+    return EmpiricalMeasure(samples=theta[active], meta=meta, chain_ids=indices[active])
 
 
 def reference_measure(

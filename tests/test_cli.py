@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tamedlmc import cli, constants, potentials, sampler
+from tamedlmc import cli, constants, sampler
 from tamedlmc.cli import main
 from tamedlmc.constants import step_size_limits_for_target
 from tamedlmc.numerics import RngStream
@@ -220,6 +220,23 @@ class TestHistogram:
         assert run(["histogram", "--in", str(src), "--out", str(out)]) == 2
         assert "beta = 4.0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sidecar", ["list", "directory", "malformed"])
+    def test_bad_metadata_file_exit_2(self, tmp_path, capsys, sidecar):
+        # the samples' metadata file is read as a config file is: one that is
+        # not a readable JSON object exits 2 naming it, and nothing is written
+        src, meta = tmp_path / "s.csv", tmp_path / "s.meta.json"
+        src.write_text("chain,x1\n0,0.5\n1,-0.25\n")
+        if sidecar == "list":
+            meta.write_text("[]")
+        elif sidecar == "directory":
+            meta.mkdir()
+        else:
+            meta.write_text('{"target": ')
+        assert run(["histogram", "--in", str(src), "--out", str(tmp_path / "h.csv"),
+                    "--target", "gaussian"]) == 2
+        assert str(meta) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.meta.json"]
 
 
 class TestRate:
@@ -456,13 +473,12 @@ class TestCheck:
         assert exit_code(["check", "--target", "gaussian", "--points", "0"]) == 2
 
     def test_no_full_pipeline_and_no_dense_hessian(self, monkeypatch):
-        # check derives only the moduli it certifies, and takes every
-        # built-in Hessian norm from the target's structure
+        # check derives only the moduli it certifies (the package builds no
+        # dense Hessian anywhere: every norm comes from the target's parts)
         def refuse(*args, **kwargs):
             raise AssertionError("refused on the check path")
 
         monkeypatch.setattr(constants, "derive_constants", refuse)
-        monkeypatch.setattr(potentials, "_hess_from_parts", refuse)
         for target in ("gaussian", "mixture", "double-well"):
             assert run(["check", "--target", target, "--dim", "3", "--points", "200"]) == 0, target
 

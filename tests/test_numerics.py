@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from derivatives import finite_diff_gradient, finite_diff_jacobian
 from tamedlmc.numerics import (
     QuadratureError,
     RngStream,
-    finite_diff_gradient,
-    finite_diff_jacobian,
     integrate_semi_infinite,
     log_gamma,
     normal_cdf,

@@ -1,6 +1,5 @@
 import math
 import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import expit, gammaln
 
+from derivatives import dense_hessian, finite_diff_gradient, finite_diff_jacobian
 from tamedlmc import potentials
 from tamedlmc.metrics import marginal_support
-from tamedlmc.numerics import RngStream, finite_diff_gradient, finite_diff_jacobian
+from tamedlmc.numerics import RngStream
 from tamedlmc.potentials import (
     TargetSpec,
     check_assumption_2,
@@ -43,7 +43,6 @@ class TestBuiltins:
         assert np.allclose(t.h(np.zeros(2)), 0.0)
         assert t.U(np.array([3.0, 4.0])) == pytest.approx(12.5)
         assert (t.r, t.nu, t.L, t.K, t.a_tilde, t.b_tilde, t.L_grad) == (0, 0, 1, 1, 1, 1, 1)
-        assert t.r_star == 8
 
     def test_mixture_constants(self):
         # d = 4 makes |a_dot| = 2 exact in floating point
@@ -67,7 +66,7 @@ class TestBuiltins:
             theta = sign * 1e4 / 4.0 * a  # <a, theta> = +/- 1e4
             assert np.all(np.isfinite(t.h(theta)))
             assert np.isfinite(t.U(theta))
-            assert np.all(np.isfinite(t.hess(theta)))
+            assert np.all(np.isfinite(dense_hessian(t, theta)))
 
     def test_double_well(self):
         t = make_double_well(3)
@@ -78,7 +77,6 @@ class TestBuiltins:
             assert np.allclose(t.h(u), 0.0, atol=1e-14)
         assert np.allclose(t.h(np.array([2.0, 0.0, 0.0])), [6.0, 0.0, 0.0])
         assert (t.r, t.nu, t.L, t.K, t.a, t.b, t.r_bar, t.L_grad) == (2, 1, 1, 2, 0.5, 1, 0, 3)
-        assert t.r_star == 24
 
     def test_batched_evaluation(self):
         for name in ALL_NAMES:
@@ -117,12 +115,12 @@ class TestBuiltins:
             make_target("banana", 2)
 
     def test_spec_validation(self):
+        g = make_gaussian(2)
+        parts = dict(U=g.U, drift_parts=g.drift_parts, hess_parts=g.hess_parts)
         with pytest.raises(ValueError):
-            TargetSpec(name="bad", d=2, U=lambda x: 0.0, h=lambda x: x,
-                       hess=lambda x: np.eye(2), r=2, nu=0, L=1, K=1, L_grad=1)
+            TargetSpec(name="bad", d=2, **parts, r=2, nu=0, L=1, K=1, L_grad=1)
         with pytest.raises(ValueError):
-            TargetSpec(name="bad", d=2, U=lambda x: 0.0, h=lambda x: x,
-                       hess=lambda x: np.eye(2), r=0, nu=0, L=1, K=1, L_grad=1,
+            TargetSpec(name="bad", d=2, **parts, r=0, nu=0, L=1, K=1, L_grad=1,
                        a=1, b=1, r_bar=0, a_tilde=1, b_tilde=1)
 
     def test_override(self):
@@ -148,7 +146,7 @@ class TestGradientConsistency:
         t = make_target(name, d)
         for theta in random_points(200 + d, 25, d, 5.0):
             jac = finite_diff_jacobian(t.h, theta)
-            hess = t.hess(theta)
+            hess = dense_hessian(t, theta)
             scale = 1.0 + np.abs(hess)
             assert np.all(np.abs(hess - jac) <= 1e-5 * scale)
 
@@ -231,8 +229,9 @@ class TestMarginals:
         assert np.all(md.pdf(xs) >= 0.0)
 
     def test_unsupported_target(self):
-        t = TargetSpec(name="custom", d=2, U=lambda x: 0.0, h=lambda x: x,
-                       hess=lambda x: np.eye(2), r=0, nu=0, L=1, K=1, L_grad=1,
+        g = make_gaussian(2)
+        t = TargetSpec(name="custom", d=2, U=g.U, drift_parts=g.drift_parts,
+                       hess_parts=g.hess_parts, r=0, nu=0, L=1, K=1, L_grad=1,
                        a_tilde=1, b_tilde=1)
         with pytest.raises(ValueError):
             marginal_pdf(t)
@@ -352,22 +351,13 @@ class TestOperatorNorm:
         for name in ALL_NAMES:
             t = make_target(name, 8)
             xs, ys = random_points(7, 20, 8, 6.0), random_points(8, 20, 8, 6.0)
-            svd_x = np.linalg.norm(t.hess(xs), 2, axis=(1, 2))
-            svd_y = np.linalg.norm(t.hess(ys), 2, axis=(1, 2))
-            svd_diff = np.linalg.norm(t.hess(xs) - t.hess(ys), 2, axis=(1, 2))
+            hx, hy = dense_hessian(t, xs), dense_hessian(t, ys)
+            svd_x = np.linalg.norm(hx, 2, axis=(1, 2))
+            svd_y = np.linalg.norm(hy, 2, axis=(1, 2))
+            svd_diff = np.linalg.norm(hx - hy, 2, axis=(1, 2))
             tol = 1e-12 * (svd_x + svd_y + 1.0)
             assert np.all(np.abs(hessian_diff_norm(t, xs, ys) - svd_diff) <= tol), name
             assert np.allclose(hessian_norm(t, xs), svd_x, rtol=1e-12, atol=0.0), name
-
-    def test_exact_on_separated_spectrum(self):
-        mat = np.diag([3.0, -1.0, 0.5])
-        t = TargetSpec(name="custom", d=3, U=lambda x: 0.0, h=lambda x: x,
-                       hess=lambda x: np.broadcast_to(mat, np.shape(x)[:-1] + (3, 3)),
-                       r=0, nu=0, L=3, K=3, L_grad=1, a_tilde=1, b_tilde=1)
-        pts = random_points(1, 5, 3, 2.0)
-        assert np.allclose(hessian_norm(t, pts), 3.0, rtol=1e-15, atol=0.0)
-        assert np.array_equal(hessian_diff_norm(t, pts, pts[::-1]), np.zeros(5))
-        assert np.allclose(hessian_vector_product(t, pts, pts), pts * [3.0, -1.0, 0.5], rtol=1e-15)
 
     def test_zero(self):
         # H(x) - H(x) = 0 exactly; so is H(x) - H(-x) for the even double-well
@@ -389,7 +379,7 @@ class TestExactHessianNorms:
         assert len(rep.violations) == 1
         v = rep.violations[0]
         x, y = np.array(v["theta"]), np.array(v["theta_prime"])
-        diff = t.hess(x) - t.hess(y)
+        diff = dense_hessian(t, x) - dense_hessian(t, y)
         exact = dense_norm(diff)
         assert power_iteration_norm(diff) < 0.95 * exact
         assert hessian_diff_norm(t, x[None], y[None])[0] == pytest.approx(exact, rel=1e-12)
@@ -414,7 +404,7 @@ class TestExactHessianNorms:
         ys = np.concatenate([rng.standard_normal((n, d)) * 10.0**log_radius,
                              np.array(scales)[:, None] * xs[n:]])
         ws = rng.standard_normal((2 * n, d))
-        hx, hy = t.hess(xs), t.hess(ys)
+        hx, hy = dense_hessian(t, xs), dense_hessian(t, ys)
         norm_x, norm_y = dense_norm(hx), dense_norm(hy)
         tol = 1e-12 * (norm_x + norm_y + 1.0)
         assert np.all(np.abs(hessian_diff_norm(t, xs, ys) - dense_norm(hx - hy)) <= tol)
@@ -434,23 +424,3 @@ class TestExactHessianNorms:
         scratch = ws.copy()
         assert hessian_vector_product(t, ys, scratch, out=scratch) is scratch
         assert np.array_equal(scratch, expected)
-
-    def test_hand_built_fallback_agrees(self):
-        # the same target without the Hessian's structure goes through eigvalsh
-        # on stacked dense Hessians; d=100 splits 250 rows into three blocks
-        dw = make_double_well(100)
-        fallback = replace(dw, name="hand-built", hess_parts=None)
-        xs, ys = random_points(5, 250, 100, 10.0), random_points(6, 250, 100, 10.0)
-        ws = random_points(7, 250, 100, 1.0)
-        tol = 1e-12 * (hessian_norm(dw, xs) + hessian_norm(dw, ys) + 1.0)
-        assert np.all(np.abs(hessian_diff_norm(fallback, xs, ys) - hessian_diff_norm(dw, xs, ys)) <= tol)
-        assert np.all(np.abs(hessian_norm(fallback, xs) - hessian_norm(dw, xs)) <= tol)
-        assert np.all(np.abs(hessian_vector_product(fallback, ys, ws)
-                             - hessian_vector_product(dw, ys, ws)) <= tol[:, None])
-
-    def test_dense_hessian_shapes(self):
-        for name in ALL_NAMES:
-            t = make_target(name, 3)
-            assert t.hess(np.zeros(3)).shape == (3, 3)
-            assert t.hess(np.zeros((4, 3))).shape == (4, 3, 3)
-            assert t.hess(np.zeros((2, 4, 3))).shape == (2, 4, 3, 3)

@@ -37,12 +37,10 @@ from tamedlmc.constants import derive_constants, step_size_limits_for_target
 
 def step_alone(target, lam, beta, theta, gen, tamed=True):
     # one update of a single chain, written out apart from the sampler:
-    # with h = a theta + c (a hand-built target's is (0, h)) and
-    # g = lam / (1 + lam |theta|^{2r})^{1/2} (lam untamed),
-    # theta (1 - g a) - g c + sqrt(2 lam / beta) xi
+    # with h = a theta + c and g = lam / (1 + lam |theta|^{2r})^{1/2}
+    # (lam untamed), theta (1 - g a) - g c + sqrt(2 lam / beta) xi
     sq = row_norm_sq(theta)
-    parts = target.drift_parts or (lambda x, _: (0.0, target.h(x)))
-    a, c = parts(theta, sq)
+    a, c = target.drift_parts(theta, sq)
     g = lam / math.sqrt(math.prod([lam] + [sq] * target.r) + 1.0) if tamed else lam  # ((lam sq) sq) ...
     theta = theta * (1.0 - a * g)
     if c is not None:
@@ -122,6 +120,37 @@ class TestTamedGradient:
         slack = 1.0 + 1e-12
         assert np.all(tamed <= raw * slack)
         assert np.all(tamed <= linear * slack)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(TARGET_NAMES),
+        d=st.integers(1, 8),
+        log_lam=st.floats(-4.0, 0.0),
+        log_radii=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_update_is_tamed_gradient_step(self, name, d, log_lam, log_radii, seed):
+        # the update the kernel applies, with the noise at zero, is
+        # theta' = theta - lam h_lam(theta), and it obeys the paper's bound
+        # lam |h_lam| <= lam K (1 + |theta|^{r+1}) / (1 + lam |theta|^{2r})^{1/2}.
+        # theta - theta' cancels: its rounding is a few ulps of |theta|
+        t = make_target(name, d)
+        lam = 10.0**log_lam
+        dirs = np.random.default_rng(seed).standard_normal((len(log_radii), d))
+        radii = 10.0 ** np.array(log_radii)
+        theta = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * radii[:, None]
+        m = theta.shape[0]
+        stepped = theta.copy()
+        sampler._advance(t.drift_parts, t.r, True, lam, stepped, np.zeros((m, d)),
+                         np.empty(m), np.empty(m), np.empty((m, d)))
+        update = np.linalg.norm(theta - stepped, axis=1)
+        norm = np.linalg.norm(theta, axis=1)
+        growth = lam * t.K * (1.0 + norm ** (t.r + 1))
+        rounding = 1e-12 * (norm + growth)
+        gap = np.linalg.norm(theta - stepped - lam * tamed_gradient(t, theta, lam), axis=1)
+        assert np.all(gap <= rounding)
+        bound = growth / np.sqrt(1.0 + lam * norm ** (2 * t.r))
+        assert np.all(update <= bound * (1.0 + 1e-12) + rounding)
 
     def test_small_step_limit(self):
         t = make_double_well(2)
@@ -241,15 +270,6 @@ class TestRunChains:
         for i in range(n_chains):
             assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
 
-    def test_trace_retention(self):
-        t = make_gaussian(2)
-        cfg = SamplerConfig(lam=0.1, beta=1.0, d=2, n_chains=4, horizon=1.0, master_seed=1)
-        m = run_chains(cfg, t, keep_every=5)
-        assert m.trace is not None
-        assert m.trace.shape[0] == 4
-        assert m.trace_steps[-1] == cfg.n_steps
-        assert np.array_equal(m.trace[:, -1, :], m.samples)
-
     def test_divergence_reporting(self):
         t = make_double_well(2)
         cfg = SamplerConfig(
@@ -303,16 +323,11 @@ class TestNoiseBlocks:
         monkeypatch.setattr(sampler, "_OVERLAP_DRAWS", 1 if request.param else 10**6)
         return [5, 5, 5, 5, 3] if request.param else [10, 10, 3]
 
-    @staticmethod
-    def hand_built(d):
-        dw = make_double_well(d)
-        return replace(dw, name="hand-built", drift_parts=None)
-
     @pytest.mark.parametrize("n_workers", [1, 2])
-    @pytest.mark.parametrize("name", ["gaussian", "mixture", "double-well", "hand-built"])
+    @pytest.mark.parametrize("name", ["gaussian", "mixture", "double-well"])
     def test_many_blocks_match_single_chain_stepping(self, small_blocks, monkeypatch,
                                                      name, n_workers):
-        t = self.hand_built(3) if name == "hand-built" else make_target(name, 3)
+        t = make_target(name, 3)
         cfg = SamplerConfig(lam=0.05, beta=1.5, d=3, n_chains=7, horizon=23 * 0.05,
                             master_seed=8, theta0=np.array([1.5, -0.5, 0.25]))
         assert cfg.n_steps == 23
@@ -395,12 +410,13 @@ class TestGaussianClosedForm:
             lam = dc.lambda_1_max / 2.0
             a_bar, kappa, c0 = float(dc.a_bar), float(dc.kappa), float(dc.c0)
             theta0 = np.full(3, 3.0 / math.sqrt(3.0))
-            cfg = SamplerConfig(lam=lam, beta=1.0, d=3, n_chains=200,
-                                horizon=lam * 100, master_seed=17, theta0=theta0)
-            m = run_chains(cfg, t, keep_every=10)
             norm0_sq = float(theta0 @ theta0)
-            for k, n in enumerate(m.trace_steps):
-                sq = np.sum(m.trace[:, k, :] ** 2, axis=1)
+            for n in range(10, 101, 10):
+                # the n-step run passes through the n-th iterates of a longer one
+                cfg = SamplerConfig(lam=lam, beta=1.0, d=3, n_chains=200,
+                                    horizon=lam * n, master_seed=17, theta0=theta0)
+                assert cfg.n_steps == n
+                sq = np.sum(run_chains(cfg, t).samples ** 2, axis=1)
                 se = float(np.std(sq, ddof=1) / math.sqrt(sq.size))
                 bound = (1 - lam * a_bar * kappa) ** n * norm0_sq + c0 * (1 + 1 / (a_bar * kappa))
                 assert float(np.mean(sq)) <= bound + 5 * se, (name, n)
@@ -494,8 +510,9 @@ class TestHandBuiltTarget:
     @staticmethod
     def target():
         dw = make_double_well(2)
-        return TargetSpec(name="hand-built", d=2, U=dw.U, h=dw.h, hess=dw.hess, r=2, nu=1,
-                          L=1.0, K=2.0, a=0.5, b=1.0, r_bar=0.0, L_grad=3.0)
+        return TargetSpec(name="hand-built", d=2, U=dw.U, drift_parts=dw.drift_parts,
+                          hess_parts=dw.hess_parts, r=2, nu=1, L=1.0, K=2.0, a=0.5, b=1.0,
+                          r_bar=0.0, L_grad=3.0)
 
     def test_no_marginal(self):
         with pytest.raises(ValueError, match="no analytic marginal"):
