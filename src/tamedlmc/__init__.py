@@ -11,7 +11,6 @@ from .numerics import (
     QuadratureResult,
     RngStream,
     integrate_semi_infinite,
-    log_gamma,
 )
 from .potentials import (
     CheckReport,

@@ -1,8 +1,22 @@
 """Closed-form evaluation of every convergence-bound constant attached to
-the tamed chain: dissipativity and one-sided-Lipschitz moduli, moment and
-drift constants, the coupling-contraction constants (with their
-quadrature-defined epsilon), and the final Wasserstein-bound constants
-C0..C5.
+the tamed chain, in five stages that each derive their constants once:
+
+1. ``certified_moduli(target)``: the base moduli a_bar, b_bar,
+   b_bar_prime, R (dissipativity), R_bar, L_bar (one-sided Lipschitz),
+   C_grad, L_bar_grad (Hessian growth) and grad_h0_norm = |H(0)|, from
+   the target alone.  ``check`` reads only this stage.
+2. ``derive_moment_constants``: kappa, c0, kappa_star and the per-degree
+   tables M1, kappa_tilde, M2, c1, c2, c3, c_star; reads a_bar, b_bar.
+3. ``derive_drift_constants``: the per-degree tables M_V, c_V1, c_V2;
+   reads a_bar, b_bar_prime.
+4. ``derive_contraction_constants``: R1_bar, R2_bar, epsilon (with its
+   quadrature-defined integral), c_hat, c_dot; reads L_bar and the drift
+   tables at p = 2.
+5. ``derive_theorem_constants``: the Wasserstein-bound constants
+   C_bar_11..C_bar_5 and C0..C5; reads the moduli and stages 2-4.
+
+``derive_constants`` runs them in this order and holds their outputs,
+under the names the stages return, in one ``DerivedConstants``.
 
 Several of these quantities are astronomically large (double exponentials
 of the Lipschitz modulus appear), so all derivations run in arbitrary
@@ -13,7 +27,6 @@ precision (mpmath) and the report carries log10 values with a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,15 +87,9 @@ def derive_bar_constants(target: TargetSpec):
     return a_bar, b_tilde, b_tilde, None
 
 
-def _grad_h0_norm(target: TargetSpec) -> float:
-    return float(hessian_norm(target, np.zeros((1, target.d)))[0])
-
-
-def derive_lipschitz_constants(target: TargetSpec, grad_h0_norm: float | None = None):
+def derive_lipschitz_constants(target: TargetSpec, grad_h0_norm: float):
     """(R_bar, L_bar, C_grad, L_bar_grad): the one-sided Lipschitz radius
-    and modulus plus the Hessian growth constants."""
-    if grad_h0_norm is None:
-        grad_h0_norm = _grad_h0_norm(target)
+    and modulus plus the Hessian growth constants, given |H(0)|."""
     if target.r > 0:
         R_bar = (mpf(target.b) / mpf(target.a)) ** (1 / (mpf(target.r) - mpf(target.r_bar)))
     else:
@@ -91,6 +98,17 @@ def derive_lipschitz_constants(target: TargetSpec, grad_h0_norm: float | None = 
     C_grad = 2 * max(mpf(2) ** (target.nu - 1) * mpf(target.L_grad), mpf(grad_h0_norm))
     L_bar_grad = mpf(3) ** (target.nu - 1) * mpf(target.L_grad)
     return R_bar, L_bar, C_grad, L_bar_grad
+
+
+def certified_moduli(target: TargetSpec) -> SimpleNamespace:
+    """The base stage: (a_bar, b_bar, b_bar_prime, R) and (R_bar, L_bar,
+    C_grad, L_bar_grad) with grad_h0_norm = |H(0)|, which both
+    ``derive_constants`` and ``certify_derived_constants`` read."""
+    a_bar, b_bar, b_bar_prime, R = derive_bar_constants(target)
+    grad_h0_norm = float(hessian_norm(target, np.zeros((1, target.d)))[0])
+    R_bar, L_bar, C_grad, L_bar_grad = derive_lipschitz_constants(target, grad_h0_norm)
+    return SimpleNamespace(a_bar=a_bar, b_bar=b_bar, b_bar_prime=b_bar_prime, R=R, R_bar=R_bar,
+                           L_bar=L_bar, C_grad=C_grad, L_bar_grad=L_bar_grad, grad_h0_norm=grad_h0_norm)
 
 
 def step_size_limits(a_bar, K) -> tuple[float, float]:
@@ -109,14 +127,14 @@ def step_size_limits_for_target(target: TargetSpec) -> tuple[float, float]:
 
 # --- moment constants ---
 
-def derive_moment_constants(target: TargetSpec, beta: float, d: int, p_list) -> dict:
+def derive_moment_constants(target: TargetSpec, moduli: SimpleNamespace, beta: float, d: int, p_list) -> dict:
     """kappa, c0, kappa_star and the per-degree tables kappa_tilde, M1,
     M2, c1, c2, c3, c_star for the requested degrees.
 
     Tables follow: kappa_tilde/M1/c1 exist for p >= 1, M2/c2/c3 for
     p >= 2; c_star(0) = 1, c_star(1) = c0, c_star(p>=2) = max(c0, c3(p)).
     """
-    a_bar, b_bar, _, _ = derive_bar_constants(target)
+    a_bar, b_bar = moduli.a_bar, moduli.b_bar
     K, r = mpf(target.K), target.r
     beta_mp, d_mp = mpf(beta), mpf(d)
 
@@ -188,11 +206,11 @@ def derive_moment_constants(target: TargetSpec, beta: float, d: int, p_list) -> 
     }
 
 
-def derive_drift_constants(target: TargetSpec, beta: float, d: int, p_list) -> dict:
+def derive_drift_constants(moduli: SimpleNamespace, beta: float, d: int, p_list) -> dict:
     """Per-degree drift constants M_V(p) = (1 + (2 b_bar' +
     2 beta^{-1}(d+p-2))/a_bar)^{1/2}, c_V1(p) = a_bar p / 2, and
     c_V2(p) = c_V1(p) v_p(M_V(p))."""
-    a_bar, _, b_bar_prime, _ = derive_bar_constants(target)
+    a_bar, b_bar_prime = moduli.a_bar, moduli.b_bar_prime
     beta_mp, d_mp = mpf(beta), mpf(d)
     M_V, c_V1, c_V2 = {}, {}, {}
     for p in sorted({int(p) for p in p_list if p >= 1}):
@@ -229,15 +247,14 @@ def log_contraction_integral(beta: float, L_bar: float, R1_bar: float) -> float:
     return top + float(mp.log(val))
 
 
-def derive_contraction_constants(target: TargetSpec, beta: float, d: int) -> dict:
+def derive_contraction_constants(moduli: SimpleNamespace, drift: dict, beta: float) -> dict:
     """(R1_bar, R2_bar, epsilon, c_hat, c_dot) of the coupling contraction.
 
     epsilon is set to its largest admissible value
     min{1, (4 c_V2(2) sqrt(2 pi beta / L_bar) I)^{-1}}, which maximizes
     c_dot; I is the contraction integral above.
     """
-    drift = derive_drift_constants(target, beta, d, [2])
-    _, L_bar, _, _ = derive_lipschitz_constants(target)
+    L_bar = moduli.L_bar
     c_v1 = drift["c_V1"][2]
     c_v2 = drift["c_V2"][2]
     beta_mp = mpf(beta)
@@ -286,63 +303,15 @@ def _entry(value: mpf | None, formula: str, degenerate: bool = False) -> dict:
             "degenerate": degenerate}
 
 
-@dataclass
-class DerivedConstants:
-    """Every derived constant for one (target, beta, d) triple.
+class DerivedConstants(SimpleNamespace):
+    """Every derived constant for one (target, beta, d) triple: the
+    outputs of the five stages under the names they return.
 
     Scalar attributes are mpmath values (exact to working precision);
-    per-degree tables are dicts keyed by integer degree.  ``to_report``
-    flattens everything into the JSON schema {value | log10_value,
-    representable, formula_ref}.
+    per-degree tables (M1 .. c_star, M_V, c_V1, c_V2) are dicts keyed by
+    integer degree.  ``to_report`` flattens everything into the JSON
+    schema {value | log10_value, representable, formula_ref}.
     """
-
-    target_name: str
-    beta: float
-    d: int
-    r: int
-    nu: int
-    K: float
-    L: float
-    grad_h0_norm: float
-    a_bar: mpf
-    b_bar: mpf
-    b_bar_prime: mpf
-    R: mpf | None
-    R_bar: mpf
-    L_bar: mpf
-    C_grad: mpf
-    L_bar_grad: mpf
-    kappa: mpf
-    c0: mpf
-    kappa_star: mpf
-    moment_tables: dict
-    drift_tables: dict
-    R1_bar: mpf
-    R2_bar: mpf
-    epsilon: mpf
-    c_hat: mpf
-    c_dot: mpf
-    C_bar_11: mpf
-    C_bar_21: mpf
-    C_bar_12: mpf
-    C_bar_22: mpf
-    C_bar_0: mpf
-    C_bar_1: mpf
-    C_bar_2: mpf
-    C_bar_3: mpf
-    C_bar_4: mpf
-    C_bar_5: mpf
-    C0: mpf
-    C1: mpf | None
-    C2: mpf
-    C3: mpf
-    C4: mpf | None
-    C5: mpf
-    lambda_max: float
-    lambda_1_max: float
-    v2_integral: float | None = None
-    v2_stderr: float | None = None
-    notes: dict = field(default_factory=dict)
 
     @property
     def degenerate_exponents(self) -> bool:
@@ -372,27 +341,25 @@ class DerivedConstants:
         c["kappa"] = _entry(self.kappa, "1/sqrt(2)")
         c["c_0"] = _entry(self.c0, "a_bar kappa + 2 b_bar + 2 d/beta + 2 K^2")
         c["kappa_star"] = _entry(self.kappa_star, "min(kappa, kappa_tilde(2)/2)")
-        mt = self.moment_tables
-        for p, v in sorted(mt["M1"].items()):
+        for p, v in sorted(self.M1.items()):
             c[f"M_1({p})"] = _entry(v, "4p C(p,ceil(p/2)) (1+2 b_bar+2K^2)^p / min(1,a_bar)")
-        for p, v in sorted(mt["kappa_tilde"].items()):
+        for p, v in sorted(self.kappa_tilde.items()):
             c[f"kappa_tilde({p})"] = _entry(v, "M_1(p)^r / (2 (1+M_1(p)^(2r))^(1/2))")
-        for p, v in sorted(mt["M2"].items()):
+        for p, v in sorted(self.M2.items()):
             c[f"M_2({p})"] = _entry(v, "(p(2p-1) 2^(2p-1) d / (beta a_bar kappa_tilde(p)))^(1/2)")
-        for p, v in sorted(mt["c1"].items()):
+        for p, v in sorted(self.c1.items()):
             c[f"c_1({p})"] = _entry(v, "a_bar kappa_tilde(p) M_1(p)^(2p) + sum_k C(p,k)(2b_bar+2K^2)^k M_1(p)^(2p-2k)")
-        for p, v in sorted(mt["c2"].items()):
+        for p, v in sorted(self.c2.items()):
             c[f"c_2({p})"] = _entry(v, "c_1(p) + p(2p-1)2^(2p-2) d/beta c_1(p-1) + p(2p-1)2^(4p-3) beta^-p p! C(d/2+p-1,p)")
-        for p, v in sorted(mt["c3"].items()):
+        for p, v in sorted(self.c3.items()):
             c[f"c_3({p})"] = _entry(v, "c_2(p) + p(2p-1)2^(2p-2) d/beta M_2(p)^(2p-2)")
-        for p, v in sorted(mt["c_star"].items()):
+        for p, v in sorted(self.c_star.items()):
             c[f"c_star({p})"] = _entry(v, "1 if p=0; c_0 if p=1; max(c_0, c_3(p)) if p>=2")
-        dt = self.drift_tables
-        for p, v in sorted(dt["M_V"].items()):
+        for p, v in sorted(self.M_V.items()):
             c[f"M_V({p})"] = _entry(v, "(1 + (2 b_bar' + 2(d+p-2)/beta)/a_bar)^(1/2)")
-        for p, v in sorted(dt["c_V1"].items()):
+        for p, v in sorted(self.c_V1.items()):
             c[f"c_V1({p})"] = _entry(v, "a_bar p / 2")
-        for p, v in sorted(dt["c_V2"].items()):
+        for p, v in sorted(self.c_V2.items()):
             c[f"c_V2({p})"] = _entry(v, "(a_bar p / 2) v_p(M_V(p))")
         c["R_bar_1"] = _entry(self.R1_bar, "2 (2 c_V2(2)/c_V1(2) - 1)^(1/2)")
         c["R_bar_2"] = _entry(self.R2_bar, "2 (4 c_V2(2)(1+c_V1(2))/c_V1(2) - 1)^(1/2)")
@@ -453,13 +420,13 @@ _NOTES = {
 
 def derive_theorem_constants(
     target: TargetSpec,
+    moduli: SimpleNamespace,
     beta: float,
     d: int,
     v2_integral: float | None,
     moment: dict,
     drift: dict,
     contraction: dict,
-    lipschitz,
 ) -> dict:
     """Final bound constants C_bar_11..C_bar_5 and C0..C5.
 
@@ -470,8 +437,7 @@ def derive_theorem_constants(
     r, nu = target.r, target.nu
     K, L = mpf(target.K), mpf(target.L)
     beta_mp, d_mp = mpf(beta), mpf(d)
-    _, L_bar, C_grad, L_bar_grad = lipschitz
-    a_bar = derive_bar_constants(target)[0]
+    a_bar, L_bar, C_grad, L_bar_grad = moduli.a_bar, moduli.L_bar, moduli.C_grad, moduli.L_bar_grad
     kappa_star = moment["kappa_star"]
     c_star = moment["c_star"]
     c_hat, c_dot = contraction["c_hat"], contraction["c_dot"]
@@ -578,53 +544,33 @@ def derive_constants(
         raise ValueError("d must be >= 1")
     need = required_degrees(target)
     p_extra = sorted({int(p) for p in (p_list or [])})
-    moment = derive_moment_constants(target, beta, d, sorted(set(need["c_star"]) | set(p_extra)))
-    drift = derive_drift_constants(target, beta, d, sorted(set(need["M_V"]) | {p for p in p_extra if p >= 1}))
-    contraction = derive_contraction_constants(target, beta, d)
-    grad_h0 = _grad_h0_norm(target)
-    lipschitz = derive_lipschitz_constants(target, grad_h0)
-    a_bar, b_bar, b_bar_prime, R = derive_bar_constants(target)
-    theorem = derive_theorem_constants(target, beta, d, v2_integral, moment, drift, contraction, lipschitz)
-    lam_max, lam_1_max = step_size_limits(a_bar, target.K)
-
-    R_bar, L_bar, C_grad, L_bar_grad = lipschitz
+    moduli = certified_moduli(target)
+    moment = derive_moment_constants(target, moduli, beta, d, sorted(set(need["c_star"]) | set(p_extra)))
+    drift = derive_drift_constants(moduli, beta, d, sorted(set(need["M_V"]) | {p for p in p_extra if p >= 1}))
+    contraction = derive_contraction_constants(moduli, drift, beta)
+    theorem = derive_theorem_constants(target, moduli, beta, d, v2_integral, moment, drift, contraction)
+    lam_max, lam_1_max = step_size_limits(moduli.a_bar, target.K)
+    # a name two stages both return is a TypeError here, not a silent overwrite
     return DerivedConstants(
-        target_name=target.name, beta=beta, d=d, r=target.r, nu=target.nu, K=target.K, L=target.L,
-        grad_h0_norm=grad_h0, a_bar=a_bar, b_bar=b_bar, b_bar_prime=b_bar_prime, R=R,
-        R_bar=R_bar, L_bar=L_bar, C_grad=C_grad, L_bar_grad=L_bar_grad,
-        kappa=moment["kappa"], c0=moment["c0"], kappa_star=moment["kappa_star"],
-        moment_tables=moment, drift_tables=drift,
-        R1_bar=contraction["R1_bar"], R2_bar=contraction["R2_bar"], epsilon=contraction["epsilon"],
-        c_hat=contraction["c_hat"], c_dot=contraction["c_dot"],
-        **theorem,  # C_bar_11 .. C_bar_5 and C0 .. C5
+        target_name=target.name, beta=beta, d=d, r=target.r,
         lambda_max=lam_max, lambda_1_max=lam_1_max, v2_integral=v2_integral, v2_stderr=v2_stderr,
-        notes=dict(_NOTES),
+        notes=dict(_NOTES), **vars(moduli), **moment, **drift, **contraction, **theorem,
     )
 
 
 # --- sampled certificates for the derived moduli ---
 
-def certified_moduli(target: TargetSpec) -> SimpleNamespace:
-    """The six moduli ``certify_derived_constants`` reads (a_bar, b_bar,
-    b_bar_prime, L_bar, C_grad, L_bar_grad), without the moment, drift,
-    contraction and theorem stages of ``derive_constants``."""
-    a_bar, b_bar, b_bar_prime, _ = derive_bar_constants(target)
-    _, L_bar, C_grad, L_bar_grad = derive_lipschitz_constants(target)
-    return SimpleNamespace(a_bar=a_bar, b_bar=b_bar, b_bar_prime=b_bar_prime,
-                           L_bar=L_bar, C_grad=C_grad, L_bar_grad=L_bar_grad)
-
-
 def certify_derived_constants(
     target: TargetSpec,
-    dc: DerivedConstants | SimpleNamespace,
+    dc: SimpleNamespace,
     n_points: int,
     radius: float,
     stream: RngStream,
 ) -> list[CheckReport]:
     """Check the proved consequences of the derived constants at sampled
     points: both dissipativity lower bounds, the one-sided Lipschitz
-    bound, Hessian growth, and the Taylor-remainder bound.  ``dc`` is a
-    ``DerivedConstants`` or the ``certified_moduli`` of the target."""
+    bound, Hessian growth, and the Taylor-remainder bound.  ``dc`` is the
+    target's ``certified_moduli`` or a ``DerivedConstants``, which holds them."""
     xs = _uniform_in_ball(stream, target.d, radius, n_points)
     ys = _uniform_in_ball(stream, target.d, radius, n_points)
     hx = np.atleast_2d(target.h(xs))

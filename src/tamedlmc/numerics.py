@@ -50,18 +50,6 @@ class RngStream:
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Raises ValueError outside the domain; ``math.lgamma`` is within a few
-    ulps on [0.5, 200].
-    """
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError(f"log_gamma domain error: x={x} (need x > 0)")
-    return math.lgamma(x)
-
-
 @functools.cache
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""

@@ -26,7 +26,7 @@ from . import metrics
 # integrate_semi_infinite is bound here, unused, for the benchmark's traced
 # run, which wraps it under this module's name
 from .numerics import (
-    RngStream, gauss_legendre, integrate_semi_infinite, log_gamma, normal_cdf, panel_rule,
+    RngStream, gauss_legendre, integrate_semi_infinite, normal_cdf, panel_rule,
 )
 
 
@@ -372,7 +372,7 @@ def _double_well_marginal_pdf(x, d: int):
     if d == 1:
         # the first marginal is the whole law exp(-U(x)) / Z
         return np.exp(-_double_well_u(x[..., None]) - log_den)
-    log_scale = log_gamma(d / 2.0) - log_gamma((d - 1.0) / 2.0) - 0.5 * np.log(np.pi) - log_den
+    log_scale = math.lgamma(d / 2.0) - math.lgamma((d - 1.0) / 2.0) - 0.5 * np.log(np.pi) - log_den
     x2 = np.ravel(x * x)
     log_num = np.empty(x2.size)
     for i in range(0, x2.size, _MARGINAL_BLOCK):

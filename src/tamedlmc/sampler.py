@@ -130,7 +130,7 @@ def _advance(parts, r, tamed, lam, theta, xi, sq, f, work) -> None:
     with h = a theta + c the target's drift parts, D the taming divisor
     (1 for ula) and ``xi`` the scaled noise.  ``sq``, ``f`` (m,) and
     ``work`` (m, d) are scratch buffers; every row is computed apart from
-    the others, so a subset of rows steps to the same bits.
+    the others, so no row's bits depend on what the other rows hold.
     """
     row_norm_sq(theta, out=sq)
     a, c = parts(theta, sq)
@@ -237,26 +237,19 @@ def _run_chain_block(
             xi = noise[k % len(noise)]
             for t in range(min(block, n_steps - step)):
                 step += 1
-                if active.all():
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        _advance(target.drift_parts, target.r, tamed, lam, theta, xi[t], sq, f, work)
-                    suspect = not np.isfinite(theta.sum())
-                elif active.any():
-                    th, n = theta[active], int(active.sum())
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        _advance(target.drift_parts, target.r, tamed, lam, th, xi[t, active],
-                                 sq[:n], f[:n], work[:n])
-                    theta[active] = th
-                    suspect = True
-                else:
-                    suspect = False
-                if suspect:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _advance(target.drift_parts, target.r, tamed, lam, theta, xi[t], sq, f, work)
+                    lost = not np.isfinite(theta.sum())
+                if lost:
                     finite = np.isfinite(theta).all(axis=1)
-                    newly = active & ~finite
-                    if newly.any():
-                        for j in np.nonzero(newly)[0]:
-                            diverged.append((indices[j], step))
-                        active &= finite
+                    for j in np.nonzero(active & ~finite)[0]:
+                        diverged.append((indices[j], step))
+                    active &= finite
+                    if not active.any():
+                        return theta, active, diverged
+                    # lost rows restart from theta0 and step on unread; rows
+                    # are computed apart, so the survivors keep their bits
+                    theta[~finite] = theta0
     return theta, active, diverged
 
 

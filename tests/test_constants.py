@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -49,7 +50,7 @@ class TestBarConstants:
 class TestLipschitzConstants:
     def test_double_well(self):
         t = make_double_well(2)
-        R_bar, L_bar, C_grad, L_bar_grad = derive_lipschitz_constants(t)
+        R_bar, L_bar, C_grad, L_bar_grad = derive_lipschitz_constants(t, 1.0)  # |H(0)| = 1
         assert abs(float(R_bar) - math.sqrt(2.0)) < 1e-12
         assert abs(float(L_bar) - (1 + 2 * math.sqrt(2)) ** 2) < 1e-10
         # C_grad = 2 max(2^0 * 3, |hess(0)| = 1) = 6
@@ -57,7 +58,7 @@ class TestLipschitzConstants:
         assert float(L_bar_grad) == 3.0
 
     def test_gaussian(self):
-        R_bar, L_bar, C_grad, L_bar_grad = derive_lipschitz_constants(make_gaussian(2))
+        R_bar, L_bar, C_grad, L_bar_grad = derive_lipschitz_constants(make_gaussian(2), 1.0)
         assert float(R_bar) == 0.0
         assert float(L_bar) == 1.0
         assert abs(float(C_grad) - 2.0) < 1e-8
@@ -78,24 +79,24 @@ class TestSpotValues:
         # r = 0 collapses the M1 powers: kappa_tilde(p) = 1/(2 sqrt 2)
         for name in ("gaussian", "mixture"):
             dc = derive_constants(make_target(name, 4), beta=1.0, d=4)
-            for v in dc.moment_tables["kappa_tilde"].values():
+            for v in dc.kappa_tilde.values():
                 assert rel_err(v, 1 / (2 * mp.sqrt(2))) < mpf("1e-40")
 
     def test_drift_example(self):
         dc = derive_constants(make_gaussian(2), beta=1.0, d=2)
-        assert float(dc.drift_tables["M_V"][2]) == pytest.approx(math.sqrt(7.0), rel=1e-14)
-        assert float(dc.drift_tables["c_V1"][2]) == 1.0
-        assert float(dc.drift_tables["c_V2"][2]) == 8.0
+        assert float(dc.M_V[2]) == pytest.approx(math.sqrt(7.0), rel=1e-14)
+        assert float(dc.c_V1[2]) == 1.0
+        assert float(dc.c_V2[2]) == 8.0
 
     def test_c_v1_linear_in_p(self):
         dc = derive_constants(make_gaussian(3), beta=1.0, d=3, p_list=[2, 4, 6])
-        cv1 = dc.drift_tables["c_V1"]
+        cv1 = dc.c_V1
         assert float(cv1[4]) == pytest.approx(2 * float(cv1[2]))
         assert float(cv1[6]) == pytest.approx(3 * float(cv1[2]))
 
     def test_double_well_c_v1(self):
         dc = derive_constants(make_double_well(2), beta=1.0, d=2)
-        assert float(dc.drift_tables["c_V1"][2]) == 0.25
+        assert float(dc.c_V1[2]) == 0.25
 
     def test_contraction_radii(self):
         dc = derive_constants(make_gaussian(2), beta=1.0, d=2)
@@ -108,10 +109,10 @@ class TestSpotValues:
 
     def test_c_star_conventions(self):
         dc = derive_constants(make_gaussian(2), beta=1.0, d=2, p_list=[0, 1, 2])
-        cs = dc.moment_tables["c_star"]
+        cs = dc.c_star
         assert float(cs[0]) == 1.0
         assert rel_err(cs[1], dc.c0) == 0
-        assert cs[2] == max(dc.c0, dc.moment_tables["c3"][2])
+        assert cs[2] == max(dc.c0, dc.c3[2])
 
     def test_epsilon_at_most_one(self):
         for name in ALL_NAMES:
@@ -122,7 +123,7 @@ class TestSpotValues:
     def test_monotone_in_dimension(self):
         lo = derive_constants(make_gaussian(2), beta=1.0, d=2)
         hi = derive_constants(make_gaussian(10), beta=1.0, d=10)
-        assert hi.drift_tables["c_V2"][2] > lo.drift_tables["c_V2"][2]
+        assert hi.c_V2[2] > lo.c_V2[2]
         assert hi.R2_bar > lo.R2_bar
 
     def test_degenerate_flat_targets(self):
@@ -215,11 +216,56 @@ class TestSecondPathAgreement:
                 check(key, getattr(dc, key), oracle[key])
 
         for p, v in oracle["c_star"].items():
-            check(f"c_star({p})", dc.moment_tables["c_star"][p], v)
+            check(f"c_star({p})", dc.c_star[p], v)
         for p, v in oracle["tables"]["c3"].items():
-            check(f"c3({p})", dc.moment_tables["c3"][p], v)
+            check(f"c3({p})", dc.c3[p], v)
         for p, v in oracle["tables"]["M_V"].items():
-            check(f"M_V({p})", dc.drift_tables["M_V"][p], v)
+            check(f"M_V({p})", dc.M_V[p], v)
+
+
+# the report's key for each scalar the second path returns under another name
+REPORT_KEY = {
+    "c0": "c_0", "R1_bar": "R_bar_1", "R2_bar": "R_bar_2",
+    "C_bar_11": "C_bar_1_1", "C_bar_21": "C_bar_2_1", "C_bar_12": "C_bar_1_2", "C_bar_22": "C_bar_2_2",
+    "kappa_tilde_2": "kappa_tilde(2)", "M_V_2": "M_V(2)", "c_V1_2": "c_V1(2)", "c_V2_2": "c_V2(2)",
+}
+REPORT_TABLE = {"M1": "M_1", "kappa_tilde": "kappa_tilde", "c1": "c_1", "M2": "M_2",
+                "c2": "c_2", "c3": "c_3", "M_V": "M_V"}
+
+
+def oracle_by_report_key(oracle: dict) -> dict:
+    out = {REPORT_KEY.get(k, k): v for k, v in oracle.items() if k not in ("c_star", "tables")}
+    out.update({f"c_star({p})": v for p, v in oracle["c_star"].items()})
+    for table, prefix in REPORT_TABLE.items():
+        out.update({f"{prefix}({p})": v for p, v in oracle["tables"][table].items()})
+    return out
+
+
+class TestReportAgainstSecondPath:
+    """The JSON report, key by key, against the independent second path."""
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("beta,d,p_list", [(1.0, 100, [0, 5]), (2.0, 10, [0, 1, 3, 7])])
+    def test_report_entries(self, name, beta, d, p_list):
+        target = make_target(name, d)
+        v2 = 1.0 + d / beta
+        rep = json.loads(json.dumps(
+            derive_constants(target, beta, d, p_list=p_list, v2_integral=v2).to_report(), allow_nan=False))
+        entries = rep["constants"]
+        expected = oracle_by_report_key(second_path(target, beta, d, rep["grad_h0_norm"], v2_integral=v2))
+        assert set(expected) <= set(entries), sorted(set(expected) - set(entries))
+        assert {f"c_star({p})" for p in p_list} <= set(entries)
+        for key, theirs in expected.items():
+            entry = entries[key]
+            # 1e-12 relative inside double range, 1e-9 in log10 outside it
+            if theirs == 0:
+                assert entry["value"] == 0.0, key
+            elif abs(mp.log10(abs(theirs))) <= 300:
+                assert entry["representable"] is True, key
+                assert rel_err(entry["value"], theirs) <= mpf("1e-12"), (key, entry, theirs)
+            else:
+                assert entry["representable"] is False, key
+                assert abs(mpf(entry["log10_value"]) - mp.log10(theirs)) <= mpf("1e-9"), (key, entry, theirs)
 
 
 class TestReport:
@@ -267,9 +313,11 @@ class TestCertificates:
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_certified_moduli_match_pipeline(self, name):
-        # check derives only these six, and they are the pipeline's values
+        # check derives only the base stage, and the pipeline holds it as is
         t = make_target(name, 4)
         dc = derive_constants(t, beta=1.0, d=4)
         moduli = certified_moduli(t)
-        for key in ("a_bar", "b_bar", "b_bar_prime", "L_bar", "C_grad", "L_bar_grad"):
-            assert getattr(moduli, key) == getattr(dc, key), key
+        assert set(vars(moduli)) == {"a_bar", "b_bar", "b_bar_prime", "R", "R_bar", "L_bar",
+                                     "C_grad", "L_bar_grad", "grad_h0_norm"}
+        for key, value in vars(moduli).items():
+            assert getattr(dc, key) == value, key

@@ -8,7 +8,6 @@ from tamedlmc.numerics import (
     QuadratureError,
     RngStream,
     integrate_semi_infinite,
-    log_gamma,
     normal_cdf,
 )
 
@@ -59,37 +58,6 @@ class TestRngStream:
             RngStream(1, -1)
 
 
-class TestLogGamma:
-    def test_exact_points(self):
-        assert log_gamma(1.0) == 0.0
-        assert abs(log_gamma(0.5) - math.log(math.sqrt(math.pi))) < 1e-14
-
-    def test_factorial_oracle(self):
-        # Gamma(n) = (n-1)! gives an exact integer reference
-        for n in range(2, 25):
-            exact = math.log(math.factorial(n - 1))
-            assert abs(log_gamma(n) - exact) <= 1e-12 * max(1.0, abs(exact))
-
-    def test_recurrence(self):
-        rng = np.random.default_rng(0)
-        xs = rng.uniform(0.5, 100.0, size=1000)
-        for x in xs:
-            assert abs(log_gamma(x + 1) - log_gamma(x) - math.log(x)) <= 1e-11
-
-    def test_domain(self):
-        for bad in (0.0, -1.0, -0.5):
-            with pytest.raises(ValueError):
-                log_gamma(bad)
-
-    def test_scipy_oracle(self):
-        from scipy.special import gammaln
-
-        xs = np.linspace(0.5, 200.0, 10_001)
-        got = np.array([log_gamma(x) for x in xs])
-        expect = gammaln(xs)
-        assert np.all(np.abs(got - expect) <= 1e-15 * np.maximum(1.0, np.abs(expect)))
-
-
 class TestNormalCdf:
     def test_scipy_oracle(self):
         from scipy.special import ndtr
@@ -119,7 +87,7 @@ class TestIntegrateSemiInfinite:
     def test_gamma_oracle(self):
         # integral of r^3.5 e^-r equals Gamma(4.5)
         res = integrate_semi_infinite(lambda r: r**3.5 * math.exp(-r))
-        exact = math.exp(log_gamma(4.5))
+        exact = math.exp(math.lgamma(4.5))
         assert abs(res.value - exact) < 1e-8
         assert abs(res.value - exact) <= res.abs_error_estimate
 

@@ -288,6 +288,19 @@ class TestRunChains:
         assert len(diverged) >= 1
         assert all(d["step"] >= 1 for d in diverged)
 
+    def test_divergence_raises_no_runtime_warning(self):
+        # rows lost to +inf and -inf in one step sum to inf - inf; that sum
+        # is taken under the kernel's errstate, so a run with lost chains
+        # prints no "invalid value" warning
+        t = make_double_well(3)
+        cfg = SamplerConfig(lam=0.17, beta=1.0, d=3, n_chains=200, horizon=1500 * 0.17,
+                            master_seed=7, algorithm="ula")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the step-size warning
+            warnings.simplefilter("error", RuntimeWarning)
+            m = run_chains(cfg, t)
+        assert 0 < len(m.meta["diverged_chains"]) < 200
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(lam=0.0, beta=1.0, d=1, n_chains=1, horizon=1.0, master_seed=0)
