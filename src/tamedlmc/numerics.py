@@ -19,27 +19,106 @@ class QuadratureError(RuntimeError):
     """Raised when quadrature exceeds its budget or its integrand does not decay."""
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _constants(h: int, mult: int, n: int) -> np.ndarray:
+    """n successive hash constants from ``h``, as a uint32 column."""
+    return (h * np.array([pow(mult, k, 2**32) for k in range(n)], dtype=np.uint32))[:, None]
+
+
+def _hashmix(words: np.ndarray, hs: np.ndarray, mult: int) -> np.ndarray:
+    """numpy's hashmix of uint32 ``words`` under hash constants ``hs``."""
+    words = (words ^ hs) * (hs * mult)
+    return words ^ words >> 16
+
+
+def _spawned_states(master_seed: int, indices: list) -> np.ndarray:
+    """The four uint64 words PCG64 takes from
+    ``SeedSequence(master_seed, spawn_key=(i,))`` for each i of
+    ``indices``, one row per index.
+
+    The seed's words mix into the pool once, by numpy itself; each index
+    then mixes in as one uint32 lane, and the output words are hashed
+    lane-wise, so a family costs a few array passes however many streams
+    it holds.
+    """
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be non-negative, got {master_seed}")
+    if indices and not (0 <= min(indices) and max(indices) < 2**32):
+        raise ValueError(f"stream indices must lie in [0, 2**32), got {min(indices)}..{max(indices)}")
+    words = [master_seed % 2**32]
+    while master_seed := master_seed >> 32:
+        words.append(master_seed % 2**32)
+    words += [0] * (4 - len(words))  # a spawn key pads the seed to the pool size
+    # mixing in n words takes 4 n hashmixes, each stepping the constant
+    pool = np.random.SeedSequence(words).pool[:, None]
+    h = _INIT_A * pow(_MULT_A, 4 * len(words), 2**32) % 2**32
+    # the spawn key, the last entropy word, mixes into the four pool words
+    # under the next four constants: rows are pool words, columns streams
+    v = _hashmix(np.array(indices, dtype=np.uint32), _constants(h, _MULT_A, 4), _MULT_A)
+    pool = _MIX_L * pool - _MIX_R * v
+    pool ^= pool >> 16
+    # eight output words from the pool taken twice round; little-endian
+    # pairs of them make PCG64's four uint64 words
+    out = _hashmix(np.concatenate([pool, pool]), _constants(_INIT_B, _MULT_B, 8), _MULT_B)
+    out = out.T.astype(np.uint64)
+    return np.ascontiguousarray(out[:, 0::2] | out[:, 1::2] << 32)
+
+
+@functools.cache
+def _spawned_state_type() -> type:
+    """A seed sequence that hands a bit generator the state words its
+    SeedSequence would give.  Made on first use: importing numpy.random
+    would cost every command, drawing or not, about 15 ms."""
+
+    class SpawnedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != self.words.size or np.dtype(dtype) != self.words.dtype:
+                raise ValueError(f"holds {self.words.size} {self.words.dtype} words")
+            return self.words
+
+    return SpawnedState
+
+
 class RngStream:
     """One member of a splittable family of Gaussian random streams.
 
     Streams are addressed by ``(master_seed, stream_index)``.  Equal
     addresses yield identical sequences; distinct ``stream_index`` values
     under one master seed yield statistically independent sequences
-    (PCG64 seeded through numpy's SeedSequence spawn keys).
+    (PCG64 seeded as by numpy's ``SeedSequence(master_seed,
+    spawn_key=(stream_index,))``).  The seed must be non-negative and the
+    index in [0, 2**32).
 
     A stream is a stateful value: drawing advances it.  Each concurrent
     worker must own its streams; nothing here is shared.
     """
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        if stream_index < 0:
-            raise ValueError("stream_index must be non-negative")
-        self.master_seed = int(master_seed)
-        self.stream_index = int(stream_index)
-        seq = np.random.SeedSequence(
-            entropy=self.master_seed, spawn_key=(self.stream_index,)
-        )
-        self._gen = np.random.Generator(np.random.PCG64(seq))
+        (one,) = self.family(master_seed, [stream_index])
+        self.__dict__ = one.__dict__
+
+    @classmethod
+    def family(cls, master_seed: int, indices) -> list[RngStream]:
+        """The streams ``(master_seed, i)`` for each i of ``indices``,
+        seeded in one vectorized pass."""
+        master_seed = int(master_seed)
+        indices = [int(i) for i in indices]
+        state = _spawned_state_type()
+        streams = []
+        for i, words in zip(indices, _spawned_states(master_seed, indices)):
+            s = object.__new__(cls)
+            s.master_seed, s.stream_index = master_seed, i
+            s._gen = np.random.Generator(np.random.PCG64(state(words)))
+            streams.append(s)
+        return streams
 
     def normal(self, shape, out: np.ndarray | None = None) -> np.ndarray:
         """Draw standard normal variates with the given shape, into ``out``

@@ -152,8 +152,8 @@ _NOISE_BUDGET = 8_000_000
 _STAGING = 2**18  # 2 MB
 # draws per RngStream.normal call below which the helper thread costs more
 # in handing the interpreter lock back and forth than it saves: on a 2-core
-# Xeon it made d=1 x 10,000 chains (373 draws a call) 37% slower and
-# d=1 x 5,000 (747) 19% faster
+# Xeon it made d=1 x 10,000 chains (373 draws a call) 45% slower and
+# d=1 x 5,000 (747) 10% faster; at d=2 x 8,000 (466) neither side won clearly
 _OVERLAP_DRAWS = 512
 
 
@@ -171,13 +171,15 @@ def _run_chain_block(
     final iterates, which of them stayed finite, and (chain, step) of each
     divergence.
 
-    Noise is drawn per chain in blocks of steps, into two buffers: while
-    this thread steps through one block, a helper thread fills the next,
-    in chunks of chains taken from a shared counter; when the steps are
-    done this thread takes the chunks left, then waits for the helper.
-    When a chain's block would hold fewer than ``_OVERLAP_DRAWS`` draws,
-    this thread fills every block itself, into one buffer of twice the
-    size.
+    The chains' streams are seeded as one ``RngStream.family``.  Noise is
+    drawn per chain in blocks of steps, into two buffers: while this
+    thread steps through one block, a helper thread fills the next, in
+    chunks of chains taken from a shared counter; when the steps are done
+    this thread takes the chunks left, then waits for the helper.  A
+    chunk is drawn chain-major into a staging array, scaled in place and
+    copied into the step-major buffer as records of d doubles.  When a
+    chain's block would hold fewer than ``_OVERLAP_DRAWS`` draws, this
+    thread fills every block itself, into one buffer of twice the size.
     Chain j's draws land at fixed positions whichever thread makes them,
     and its value sequence is that of stepping it alone, so neither the
     threads' scheduling nor the partition of chains across workers can
@@ -186,7 +188,7 @@ def _run_chain_block(
     indices = list(indices)
     m = len(indices)
     d = theta0.size
-    streams = [RngStream(master_seed, i) for i in indices]
+    streams = RngStream.family(master_seed, indices)
     theta = np.tile(theta0, (m, 1))
     active = np.ones(m, dtype=bool)
     diverged = []
@@ -208,6 +210,7 @@ def _run_chain_block(
     noise = [np.empty((block, m, d)) for _ in range(min(1 + overlap, n_blocks))]
     staging = [np.empty(chunk * block * d) for _ in range(1 + overlap)]  # this thread's, the helper's
     sq, f, work = np.empty(m), np.empty(m), np.empty((m, d))
+    row = np.dtype((np.void, 8 * d))  # one chain-step's d doubles, copied as one record
 
     def fill(k, stage, next_chunk):
         # draw chunks of block k's noise, scaled, until none is left
@@ -218,7 +221,8 @@ def _run_chain_block(
             draws = stage[:(j1 - j0) * b * d].reshape(j1 - j0, b, d)
             for j in range(j0, j1):
                 streams[j].normal((b, d), out=draws[j - j0])
-            np.multiply(draws.transpose(1, 0, 2), scale, out=out[:b, j0:j1])
+            draws *= scale
+            out[:b, j0:j1].view(row)[...] = draws.transpose(1, 0, 2).view(row)
 
     def start(k):
         next_chunk = itertools.count().__next__

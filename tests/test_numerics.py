@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from derivatives import finite_diff_gradient, finite_diff_jacobian
 from tamedlmc.numerics import (
@@ -56,6 +57,64 @@ class TestRngStream:
     def test_validation(self):
         with pytest.raises(ValueError):
             RngStream(1, -1)
+
+
+def numpy_stream(seed, i):
+    # the oracle: PCG64 seeded through numpy's own SeedSequence
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+
+def assert_same_stream(stream, seed, i):
+    oracle = numpy_stream(seed, i)
+    assert (stream.master_seed, stream.stream_index) == (seed, i)
+    assert stream._gen.bit_generator.state == oracle.state
+    assert np.array_equal(stream.normal(5), np.random.Generator(oracle).standard_normal(5))
+
+
+# one, four and five 32-bit words of entropy, and anything below 2**160
+SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**96, 2**128 - 1),
+                  st.integers(2**128, 2**160 - 1), st.integers(0, 2**160 - 1))
+INDICES = st.integers(0, 2**32 - 1)
+
+
+class TestFamilySeeding:
+    """RngStream.family reproduces numpy's SeedSequence for every member."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEEDS, indices=st.lists(INDICES, max_size=6))
+    def test_family_and_singles_match_numpy(self, seed, indices):
+        family = RngStream.family(seed, indices)
+        assert len(family) == len(indices)
+        for stream, i in zip(family, indices):
+            assert_same_stream(stream, seed, i)
+            assert_same_stream(RngStream(seed, i), seed, i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, n=st.integers(0, 40), workers=st.integers(1, 4),
+           worker=st.integers(0, 3))
+    def test_worker_partition_matches_singles(self, seed, n, workers, worker):
+        # a worker's share of run_chains's indices: an int64 slice that
+        # need not start at 0, and may be empty
+        part = np.array_split(np.arange(n), workers)[worker % workers]
+        family = RngStream.family(seed, part)
+        assert [s.stream_index for s in family] == part.tolist()
+        for stream, i in zip(family, part.tolist()):
+            assert_same_stream(stream, seed, i)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(max_value=-1), i=INDICES)
+    def test_negative_seed_refused(self, seed, i):
+        with pytest.raises(ValueError, match="non-negative"):
+            RngStream(seed, i)
+        with pytest.raises(ValueError, match="non-negative"):
+            RngStream.family(seed, [])
+
+    @pytest.mark.parametrize("i", [-1, 2**32, 2**64])
+    def test_index_out_of_range_refused(self, i):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            RngStream(0, i)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            RngStream.family(0, [0, i])
 
 
 class TestNormalCdf:

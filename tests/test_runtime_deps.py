@@ -45,3 +45,12 @@ def test_help_loads_no_scipy_module(tmp_path):
                if line.startswith("import time:")]
     assert "tamedlmc.cli" in modules
     assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+def test_import_loads_no_numpy_random(tmp_path):
+    # importing numpy.random costs about 15 ms, which commands that draw
+    # nothing (histogram, constants) should not pay
+    proc = run_python(["-c", "import sys, tamedlmc.cli; print(sorted(sys.modules))"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "tamedlmc.cli" in proc.stdout
+    assert "'numpy.random'" not in proc.stdout

@@ -325,24 +325,28 @@ class TestNoiseBlocks:
 
     @pytest.fixture(params=[True, False], ids=["helper", "alone"])
     def small_blocks(self, request, monkeypatch):
-        # with the helper thread, 7 chains at d = 3 (or 9 at d = 2) step in
-        # blocks of 5 (6) steps filled in chunks of 2 chains, so the last
-        # block is short and the last chunk a single chain; alone, in one
-        # buffer of blocks of 10 (13) steps, in chunks of 1 chain; forked
-        # workers inherit the cut.  Returns the block lengths of 23 steps
-        # at d = 3.
+        # with the helper thread, 7 chains at d = 3 (or 9 at d = 2, 7 at
+        # d = 1) step in blocks of 5 (6, 15) steps filled in chunks of 2
+        # chains, so the last block is short and the last chunk a single
+        # chain; alone, in one buffer of blocks of 10 (13, 23) steps, in
+        # chunks of 1 chain; forked workers inherit the cut.  Returns the
+        # block lengths of 23 steps at d = 3 and d = 1.
         monkeypatch.setattr(sampler, "_NOISE_BUDGET", 280)
         monkeypatch.setattr(sampler, "_STAGING", 30)
         monkeypatch.setattr(sampler, "_OVERLAP_DRAWS", 1 if request.param else 10**6)
-        return [5, 5, 5, 5, 3] if request.param else [10, 10, 3]
+        if request.param:
+            return {3: [5, 5, 5, 5, 3], 1: [15, 8]}
+        return {3: [10, 10, 3], 1: [23]}
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    @pytest.mark.parametrize("name", ["gaussian", "mixture", "double-well"])
+    @pytest.mark.parametrize("name, d", [pytest.param(name, d, id=name + ("-d1" if d == 1 else ""))
+                                         for d in (3, 1)
+                                         for name in ("gaussian", "mixture", "double-well")])
     def test_many_blocks_match_single_chain_stepping(self, small_blocks, monkeypatch,
-                                                     name, n_workers):
-        t = make_target(name, 3)
-        cfg = SamplerConfig(lam=0.05, beta=1.5, d=3, n_chains=7, horizon=23 * 0.05,
-                            master_seed=8, theta0=np.array([1.5, -0.5, 0.25]))
+                                                     name, d, n_workers):
+        t = make_target(name, d)
+        cfg = SamplerConfig(lam=0.05, beta=1.5, d=d, n_chains=7, horizon=23 * 0.05,
+                            master_seed=8, theta0=np.array([1.5, -0.5, 0.25])[:d])
         assert cfg.n_steps == 23
         blocks = {}
         draw = RngStream.normal
@@ -356,7 +360,7 @@ class TestNoiseBlocks:
             warnings.simplefilter("ignore")
             m = run_chains(cfg, t, n_workers=n_workers)
         if n_workers == 1:
-            assert blocks == {i: small_blocks for i in range(7)}
+            assert blocks == {i: small_blocks[d] for i in range(7)}
         for i in range(7):
             assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
 
