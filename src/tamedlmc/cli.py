@@ -1,12 +1,16 @@
 """Command-line front end: sampling runs, histogram/density exports, rate
 sweeps, constants reports, and assumption checks.
 
+Each command returns its files; ``main`` checks every output path, the
+sibling ``<out>.manifest.json`` of resolved options included, before the
+command runs, and writes the manifest last.  CSV/JSON payloads are
+byte-reproducible given a seed.
+
 Exit codes: 0 success, 1 property violation (check), 2 usage error (also
-an option outside its domain, from a flag, preset or config file alike,
-and a JSON payload holding a non-finite number), 3 runtime divergence
-(all chains lost; for rate, any chain lost).  Every file-producing
-invocation writes a sibling ``<out>.manifest.json`` recording the
-resolved options; CSV/JSON payloads are byte-reproducible given a seed.
+an option outside its domain, from a flag, preset or config file alike, a
+JSON payload holding a non-finite number, and an output that exists
+without ``--force``, is a directory, lies in a missing directory or fails
+to write), 3 runtime divergence (all chains lost; for rate, any chain lost).
 """
 
 from __future__ import annotations
@@ -224,38 +228,51 @@ def _resolve(args) -> tuple[dict, set]:
     return opts, explicit
 
 
-def _outputs(opts, *suffixes) -> list:
-    """``--out`` and its ``suffixes`` siblings; one that exists needs ``--force``."""
+def _json(payload) -> str:
+    # a non-finite number raises ValueError (exit 2): a bare NaN is not JSON
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _plan(opts, siblings) -> list:
+    """``--out``, its ``siblings`` and its manifest, in writing order (none
+    without ``--out``); each a file in an existing directory, new unless ``--force``."""
+    if opts["out"] is None:
+        return []
     out = Path(opts["out"])
-    paths = [out] + [out.with_suffix(suffix) for suffix in suffixes]
+    paths = [out, *(out.with_suffix(s) for s in siblings),
+             out.with_suffix(out.suffix + ".manifest.json")]
     for p in paths:
+        if not p.parent.is_dir():
+            raise UsageError(f"cannot write {p}: no directory {p.parent}")
+        if p.is_dir():
+            raise UsageError(f"cannot write {p}: it is a directory")
         if p.exists() and not opts["force"]:
             raise UsageError(f"output {p} exists; pass --force to overwrite")
     return paths
 
 
-def _manifest_path(out_path: Path) -> Path:
-    return out_path.with_suffix(out_path.suffix + ".manifest.json")
-
-
-def _write_manifest(out_path: Path, command: str, resolved: dict, outputs):
-    """Written last, once every output it names is on disk."""
-    _write_json(_manifest_path(out_path), {
+def _write(paths, files, command: str, opts):
+    """Write each of ``files`` (a measure, CSV text, or a JSON payload that
+    gains the manifest's path) to its path, then the manifest.  Every
+    payload is serialised before the first file is opened."""
+    *outputs, manifest = paths
+    contents = [_json({**f, "manifest": str(manifest)}) + "\n" if isinstance(f, dict) else f
+                for f in files]
+    contents.append(_json({
         "command": command,
-        "resolved_config": resolved,
+        "resolved_config": opts,
         "version": _version_stamp(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [str(o) for o in outputs],
-    })
-
-
-def _json_text(payload) -> str:
-    # a non-finite number raises ValueError (exit 2): a bare NaN is not JSON
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _write_json(path, payload):
-    Path(path).write_text(_json_text(payload), encoding="utf-8")  # serialised before opening
+    }) + "\n")
+    for path, content in zip(paths, contents):
+        try:
+            if isinstance(content, sampler.EmpiricalMeasure):
+                sampler.save_measure_csv(content, path)
+            else:
+                path.write_text(content, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _chains(where: str, run, *args, every=True, **kwargs) -> sampler.EmpiricalMeasure:
@@ -279,7 +296,7 @@ def _chains(where: str, run, *args, every=True, **kwargs) -> sampler.EmpiricalMe
 
 # --- sample ---
 
-def cmd_sample(opts, explicit) -> int:
+def cmd_sample(opts, explicit) -> tuple:
     lam, dim = opts["lambda"], opts["dim"]
     target = potentials.make_target(opts["target"], dim)
     lam_max, _ = constants_mod.step_size_limits_for_target(target)
@@ -291,23 +308,17 @@ def cmd_sample(opts, explicit) -> int:
         lam=lam, beta=opts["beta"], d=dim, n_chains=opts["chains"], horizon=opts["horizon"],
         master_seed=opts["seed"], theta0=opts["theta0"], algorithm=opts["algorithm"],
     )
-    out_path, meta_path = _outputs(opts, ".meta.json")
-
     measure = _chains(f"lambda={lam:g}", sampler.run_chains, cfg, target, every=False,
                       n_workers=opts["workers"])
-    meta_text = _json_text({**measure.meta, "manifest": str(_manifest_path(out_path))})
-    sampler.save_measure_csv(measure, out_path)
-    meta_path.write_text(meta_text, encoding="utf-8")
-    _write_manifest(out_path, "sample", opts, [out_path, meta_path])
     n_div = len(measure.meta["diverged_chains"])
-    print(f"wrote {out_path} ({measure.samples.shape[0]} chains x d={dim}"
-          + (f", {n_div} diverged" if n_div else "") + ")")
-    return 0
+    return 0, [measure, measure.meta], (
+        f"wrote {Path(opts['out'])} ({measure.samples.shape[0]} chains x d={dim}"
+        + (f", {n_div} diverged" if n_div else "") + ")")
 
 
 # --- histogram ---
 
-def cmd_histogram(opts, explicit) -> int:
+def cmd_histogram(opts, explicit) -> tuple:
     in_path = Path(opts["in"])
     try:
         _, samples = sampler.load_measure_csv(in_path)
@@ -341,29 +352,24 @@ def cmd_histogram(opts, explicit) -> int:
     analytic = np.asarray(density.pdf(hist.centers), dtype=float)
     ks = metrics.ks_statistic(first, density.cdf)
 
-    out_path, summary_path = _outputs(opts, ".summary.json")
-    summary_text = _json_text({
+    lines = ["bin_center,empirical_density,analytic_density"]
+    for ctr, emp, ana in zip(hist.centers, hist.densities, analytic):
+        lines.append(f"{repr(float(ctr))},{repr(float(emp))},{repr(float(ana))}")
+    summary = {
         "ks_statistic": ks,
         "n_samples": int(first.size),
         "inside_fraction": hist.inside_fraction,
         "target": target.name,
         "normalization_check": density.normalization_check,
         "source_meta": meta,
-        "manifest": str(_manifest_path(out_path)),
-    })
-    lines = ["bin_center,empirical_density,analytic_density"]
-    for ctr, emp, ana in zip(hist.centers, hist.densities, analytic):
-        lines.append(f"{repr(float(ctr))},{repr(float(emp))},{repr(float(ana))}")
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    summary_path.write_text(summary_text, encoding="utf-8")
-    _write_manifest(out_path, "histogram", opts, [out_path, summary_path])
-    print(f"wrote {out_path} (KS statistic {ks:.4f})")
-    return 0
+    }
+    return 0, ["\n".join(lines) + "\n", summary], (
+        f"wrote {Path(opts['out'])} (KS statistic {ks:.4f})")
 
 
 # --- rate ---
 
-def cmd_rate(opts, explicit) -> int:
+def cmd_rate(opts, explicit) -> tuple:
     dim, beta, metric, analytic = opts["dim"], opts["beta"], opts["metric"], opts["analytic"]
     grid = opts["grid"]
     target = potentials.make_target(opts["target"], dim)
@@ -423,49 +429,35 @@ def cmd_rate(opts, explicit) -> int:
             distances.append(dist)
 
     fit = metrics.fit_rate(grid, distances)
-    if opts["out"] is not None:
-        out_path, fit_path = _outputs(opts, ".fit.json")
-        fit_text = _json_text({**fit.to_dict(), "manifest": str(_manifest_path(out_path))})
-        lines = ["lambda,distance,metric"]
-        for lam, dist in zip(grid, distances):
-            lines.append(f"{repr(float(lam))},{repr(float(dist))},{metric}")
-        out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        fit_path.write_text(fit_text, encoding="utf-8")
-        _write_manifest(out_path, "rate", opts, [out_path, fit_path])
-    print(f"fitted slope {fit.slope:.4f} (r^2 = {fit.r_squared:.4f})")
-    return 0
+    lines = ["lambda,distance,metric"]
+    for lam, dist in zip(grid, distances):
+        lines.append(f"{repr(float(lam))},{repr(float(dist))},{metric}")
+    return 0, ["\n".join(lines) + "\n", fit.to_dict()], (
+        f"fitted slope {fit.slope:.4f} (r^2 = {fit.r_squared:.4f})")
 
 
 # --- constants ---
 
-def cmd_constants(opts, explicit) -> int:
+def cmd_constants(opts, explicit) -> tuple:
     dim, beta = opts["dim"], opts["beta"]
     target = potentials.make_target(opts["target"], dim)
 
     v2 = v2_err = None
     if opts["v2_method"] != "none":
         v2, v2_err = sampler.estimate_v2_integral(
-            target, beta,
-            method="mc" if opts["v2_method"] == "mc" else "auto",
-            n_draws=opts["v2_draws"], master_seed=opts["seed"],
+            target, beta, method=opts["v2_method"], n_draws=opts["v2_draws"],
+            master_seed=opts["seed"],
         )
     dc = constants_mod.derive_constants(
         target, beta, dim, p_list=opts["p_list"], v2_integral=v2, v2_stderr=v2_err,
     )
     report = dc.to_report()
-    if opts["out"] is not None:
-        out_path, = _outputs(opts)
-        _write_json(out_path, {**report, "manifest": str(_manifest_path(out_path))})
-        _write_manifest(out_path, "constants", opts, [out_path])
-        print(f"wrote {out_path}")
-    else:
-        sys.stdout.write(_json_text(report))
-    return 0
+    return 0, [report], _json(report) if opts["out"] is None else f"wrote {Path(opts['out'])}"
 
 
 # --- check ---
 
-def cmd_check(opts, explicit) -> int:
+def cmd_check(opts, explicit) -> tuple:
     dim, points, radius, seed = opts["dim"], opts["points"], opts["radius"], opts["seed"]
     overrides = opts["override"]
     target = potentials.override_constants(potentials.make_target(opts["target"], dim), **overrides)
@@ -490,24 +482,22 @@ def cmd_check(opts, explicit) -> int:
         "all_ok": all_ok,
         "checks": [r.to_dict() for r in reports],
     }
-    if opts["out"] is not None:
-        out_path, = _outputs(opts)
-        _write_json(out_path, {**payload, "manifest": str(_manifest_path(out_path))})
-        _write_manifest(out_path, "check", opts, [out_path])
-    for r in reports:
-        status = "ok" if r.ok else f"{r.n_violations} violation(s)"
-        print(f"{target.name}: {r.assumption}: {status}")
-    return 0 if all_ok else 1
+    lines = [f"{target.name}: {r.assumption}: "
+             + ("ok" if r.ok else f"{r.n_violations} violation(s)") for r in reports]
+    return 0 if all_ok else 1, [payload], "\n".join(lines)
 
 
 # --- parser ---
 
+# Each command: its function, its files' suffixes beside --out, its help.
+# It returns (exit code, its files' contents, console line); main writes.
 COMMANDS = {
-    "sample": (cmd_sample, "run chains and write final iterates as CSV"),
-    "histogram": (cmd_histogram, "first-component histogram vs analytic marginal"),
-    "rate": (cmd_rate, "distance-vs-step-size sweep and log-log fit"),
-    "constants": (cmd_constants, "derived-constants JSON report"),
-    "check": (cmd_check, "assumption and certificate checks"),
+    "sample": (cmd_sample, (".meta.json",), "run chains and write final iterates as CSV"),
+    "histogram": (cmd_histogram, (".summary.json",),
+                  "first-component histogram vs analytic marginal"),
+    "rate": (cmd_rate, (".fit.json",), "distance-vs-step-size sweep and log-log fit"),
+    "constants": (cmd_constants, (), "derived-constants JSON report"),
+    "check": (cmd_check, (), "assumption and certificate checks"),
 }
 
 
@@ -517,25 +507,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tamed Langevin Monte Carlo sampling laboratory",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for cmd, (func, help_text) in COMMANDS.items():
+    for cmd, (_, _, help_text) in COMMANDS.items():
         p = sub.add_parser(cmd, help=help_text)
         # every default is None (--override's is {}), so the resolver can
         # tell a flag was given
         for name, kwargs, _ in command_options(cmd):
             p.add_argument(f"--{name}", default=None, **kwargs)
-        p.set_defaults(func=func, parser=p)
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    func, siblings, _ = COMMANDS[args.cmd]
     try:
-        return args.func(*_resolve(args))
+        opts, explicit = _resolve(args)
+        paths = _plan(opts, siblings)
+        code, files, console = func(opts, explicit)
+        if paths:
+            _write(paths, files, args.cmd, opts)
     except DivergenceExit:
         return 3
     except ValueError as exc:  # a UsageError, or a value a library call refuses
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(console)
+    return code
 
 
 if __name__ == "__main__":

@@ -79,7 +79,6 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-    points: list
 
     def to_dict(self) -> dict:
         return {"slope": self.slope, "intercept": self.intercept,
@@ -104,7 +103,6 @@ def fit_rate(lams, dists) -> RateFit:
         slope=float(slope),
         intercept=float(intercept),
         r_squared=min(max(r2, 0.0), 1.0),
-        points=list(zip(lx.tolist(), ly.tolist())),
     )
 
 

@@ -300,7 +300,6 @@ class MarginalDensity:
     that support, and the mass that tabulation integrates to (the
     normalization check)."""
 
-    target: TargetSpec
     pdf: Callable
     support: tuple[float, float]
     cdf: Callable
@@ -401,7 +400,7 @@ def marginal_pdf(target: TargetSpec) -> MarginalDensity:
         raise ValueError(f"no analytic marginal for target {target.name!r}")
     support = metrics.marginal_support(pdf)
     cdf = metrics.cdf_from_pdf(pdf, *support)
-    return MarginalDensity(target=target, pdf=pdf, support=support, cdf=cdf,
+    return MarginalDensity(pdf=pdf, support=support, cdf=cdf,
                            normalization_check=float(cdf(support[1])))
 
 

@@ -1,10 +1,11 @@
+import errno
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tamedlmc import cli, constants, sampler
+from tamedlmc import cli, constants, potentials, sampler
 from tamedlmc.cli import main
 from tamedlmc.constants import step_size_limits_for_target
 from tamedlmc.numerics import RngStream
@@ -67,14 +68,6 @@ class TestSample:
             run(["sample", "--target", "banana", "--lambda", "0.1",
                  "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
-
-    def test_overwrite_requires_force(self, tmp_path):
-        out = tmp_path / "g.csv"
-        args = ["sample", "--target", "gaussian", "--dim", "2", "--lambda", "0.1",
-                "--chains", "2", "--horizon", "0.5", "--seed", "1", "--out", str(out)]
-        assert run(args) == 0
-        assert run(args) == 2
-        assert run(args + ["--force"]) == 0
 
     def test_step_size_warning(self, tmp_path, capsys):
         out = tmp_path / "dw.csv"
@@ -557,6 +550,93 @@ class TestManifest:
             manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
             versions.append(manifest["version"])
         assert versions[0] == versions[1]
+
+
+# A small run of each command, and the files it writes: --out first, the
+# manifest last.
+LINES = {
+    "sample": "sample --target gaussian --dim 2 --lambda 0.1 --chains 4 --horizon 0.5",
+    "histogram": "histogram --in {samples}",
+    "rate": "rate --target gaussian --dim 1 --chains 20 --horizon 0.5 --grid 0.2,0.1",
+    "constants": "constants --target gaussian --dim 2",
+    "check": "check --target gaussian --dim 2 --points 50",
+}
+OUTPUTS = {
+    "sample": ("s.csv", "s.meta.json", "s.csv.manifest.json"),
+    "histogram": ("h.csv", "h.summary.json", "h.csv.manifest.json"),
+    "rate": ("r.csv", "r.fit.json", "r.csv.manifest.json"),
+    "constants": ("c.json", "c.json.manifest.json"),
+    "check": ("k.json", "k.json.manifest.json"),
+}
+# each command's first heavy call is one of these
+HEAVY = ((sampler, "run_chains"), (potentials, "marginal_pdf"),
+         (constants, "derive_constants"), (potentials, "check_assumption_2"))
+
+
+@pytest.fixture(scope="module")
+def samples_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("samples") / "s.csv"
+    assert run(LINES["sample"].split() + ["--out", str(path)]) == 0
+    return path
+
+
+def _output_argv(cmd, directory, samples):
+    return LINES[cmd].format(samples=samples).split() + ["--out", str(directory / OUTPUTS[cmd][0])]
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("cmd, existing",
+                             [(cmd, name) for cmd, names in OUTPUTS.items() for name in names])
+    def test_existing_output_refused_before_work(self, tmp_path, monkeypatch, capsys,
+                                                 samples_csv, cmd, existing):
+        (tmp_path / existing).write_text("kept\n")
+
+        def heavy(*args, **kwargs):
+            raise AssertionError("the command ran before its outputs were checked")
+
+        for module, name in HEAVY:
+            monkeypatch.setattr(module, name, heavy)
+        argv = _output_argv(cmd, tmp_path, samples_csv)
+        assert run(argv) == 2
+        assert f"output {tmp_path / existing} exists" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [existing]
+        assert (tmp_path / existing).read_text() == "kept\n"
+        monkeypatch.undo()
+        assert run(argv + ["--force"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(OUTPUTS[cmd])
+
+    @pytest.mark.parametrize("cmd", list(OUTPUTS))
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, samples_csv, cmd):
+        missing = tmp_path / "missing"
+        assert run(_output_argv(cmd, missing, samples_csv)) == 2
+        err = capsys.readouterr().err
+        assert f"no directory {missing}" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+        # a directory in the place of an output is refused even with --force
+        (tmp_path / OUTPUTS[cmd][-1]).mkdir()
+        assert run(_output_argv(cmd, tmp_path, samples_csv) + ["--force"]) == 2
+        assert f"{tmp_path / OUTPUTS[cmd][-1]}: it is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [OUTPUTS[cmd][-1]]
+
+    @pytest.mark.parametrize("cmd", list(OUTPUTS))
+    def test_files_are_the_manifests_outputs(self, tmp_path, samples_csv, cmd):
+        assert run(_output_argv(cmd, tmp_path, samples_csv)) == 0
+        manifest = tmp_path / OUTPUTS[cmd][-1]
+        outputs = json.loads(manifest.read_text())["outputs"]
+        assert sorted(tmp_path.iterdir()) == sorted([Path(o) for o in outputs] + [manifest])
+        for path in tmp_path.glob("*.json"):
+            if path != manifest:
+                assert json.loads(path.read_text())["manifest"] == str(manifest), path
+
+    def test_failed_write_exit_2(self, tmp_path, monkeypatch, capsys):
+        def full(measure, path):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(sampler, "save_measure_csv", full)
+        assert run(_output_argv("sample", tmp_path, None)) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {tmp_path / 's.csv'}: No space left on device" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 IN_DOMAIN = {"grid": "0.2,0.1", "override": "L=1", "v2-draws": "2"}

@@ -187,7 +187,6 @@ class TestFitRate:
 
     def test_points_recorded(self):
         fit = fit_rate([0.1, 0.2], [0.3, 0.6])
-        assert len(fit.points) == 2
         assert fit.to_dict().keys() == {"slope", "intercept", "r_squared"}
 
     def test_validation(self):

@@ -225,8 +225,10 @@ class TestRunChains:
     def test_rerun_identical(self):
         t = make_target("mixture", 4)
         cfg = SamplerConfig(lam=0.05, beta=1.0, d=4, n_chains=8, horizon=2.0, master_seed=3)
-        a = run_chains(cfg, t)
-        b = run_chains(cfg, t)
+        with pytest.warns(UserWarning, match="exceeds the theoretical maximum"):
+            a = run_chains(cfg, t)
+        with pytest.warns(UserWarning, match="exceeds the theoretical maximum"):
+            b = run_chains(cfg, t)
         assert np.array_equal(a.samples, b.samples)
 
     def test_worker_count_invariance(self):
@@ -536,13 +538,15 @@ class TestHandBuiltTarget:
             marginal_pdf(self.target())
 
     def test_no_closed_form_second_moment(self):
-        with pytest.raises(ValueError, match="no closed-form second moment"):
-            estimate_v2_integral(self.target(), 1.0, method="quadrature")
+        # the default, too: no silent fall back to a biased fine-step chain
+        for kwargs in ({}, {"method": "quadrature"}):
+            with pytest.raises(ValueError, match="no closed-form second moment"):
+                estimate_v2_integral(self.target(), 1.0, n_draws=4, horizon=0.01, **kwargs)
 
-    def test_auto_falls_back_to_fine_step_chain(self):
+    def test_monte_carlo_runs_fine_step_chain(self):
         t = self.target()
-        v2, se = estimate_v2_integral(t, 1.0, n_draws=200, horizon=1.0, fine_step=0.01,
-                                      master_seed=3)
+        v2, se = estimate_v2_integral(t, 1.0, method="mc", n_draws=200, horizon=1.0,
+                                      fine_step=0.01, master_seed=3)
         ref = reference_measure(t, 1.0, master_seed=3, n_draws=200, horizon=1.0,
                                 fine_step=0.01)
         assert ref.meta["algorithm"] == "mtula" and ref.meta["lambda"] == 0.01
