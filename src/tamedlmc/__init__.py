@@ -40,16 +40,13 @@ from .sampler import (
 )
 from .constants import (
     DerivedConstants,
+    certified_moduli,
     certify_derived_constants,
-    derive_bar_constants,
     derive_constants,
     derive_contraction_constants,
     derive_drift_constants,
-    derive_lipschitz_constants,
     derive_moment_constants,
     derive_theorem_constants,
-    step_size_limits,
-    step_size_limits_for_target,
 )
 from .metrics import (
     Histogram,

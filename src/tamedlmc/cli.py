@@ -95,7 +95,7 @@ OPTIONS = (
      {**_each(REQUIRED, "sample", "rate", "constants", "check"), "histogram": None}),
     ("dim", {"type": _at_least(1)}, {"sample": 100, "rate": 100, "constants": 2, "check": 10}),
     ("beta", {"type": POSITIVE}, _each(1.0, "sample", "rate", "constants")),
-    ("seed", {"type": _at_least(0)}, _each(0, "sample", "rate", "constants", "check")),
+    ("seed", {"type": _at_least(0)}, _each(0, "sample", "rate", "check")),
     ("out", {}, {**_each(REQUIRED, "sample", "histogram"), **_each(None, "rate", "constants", "check")}),
     ("force", {"action": "store_true"}, _each(False, "sample", "histogram", "rate", "constants", "check")),
     ("config", {"help": "JSON config file (explicit flags win)"}, _each(None, "sample", "rate")),
@@ -112,15 +112,13 @@ OPTIONS = (
     ("metric", {"choices": ("w1", "w2", "sw1", "sw2", "gaussian-exact")}, {"rate": "w1"}),
     ("grid", {"type": GRID, "help": "comma-separated step sizes"},
      {"rate": "0.001,0.005,0.01,0.025,0.05,0.1"}),
-    ("analytic", {"action": "store_true", "help": "closed-form distances (gaussian-exact, dim 1)"},
+    ("analytic", {"action": "store_true", "help": "closed-form W2 (gaussian-exact, dim 1)"},
      {"rate": False}),
     ("ref-fine-step", {"type": POSITIVE}, {"rate": None}),
     ("ref-horizon", {"type": POSITIVE}, {"rate": None}),
     ("n-proj", {"type": _at_least(1)}, {"rate": 256}),
     ("p-list", {"type": _list(_at_least(0)), "help": "comma-separated extra moment degrees"},
      {"constants": None}),
-    ("v2-method", {"choices": ("quadrature", "mc", "none")}, {"constants": "quadrature"}),
-    ("v2-draws", {"type": _at_least(2)}, {"constants": 100_000}),
     ("points", {"type": _at_least(1)}, {"check": 10_000}),
     ("radius", {"type": POSITIVE}, {"check": 10.0}),
     ("override", {"type": OVERRIDE, "action": _Merge, "metavar": "NAME=VALUE",
@@ -299,7 +297,7 @@ def _chains(where: str, run, *args, every=True, **kwargs) -> sampler.EmpiricalMe
 def cmd_sample(opts, explicit) -> tuple:
     lam, dim = opts["lambda"], opts["dim"]
     target = potentials.make_target(opts["target"], dim)
-    lam_max, _ = constants_mod.step_size_limits_for_target(target)
+    lam_max = constants_mod.certified_moduli(target).lambda_max
     if lam > lam_max:
         print(f"warning: lambda={lam:g} exceeds the theoretical maximum step size "
               f"{lam_max:g} for target {target.name!r}", file=sys.stderr)
@@ -319,6 +317,8 @@ def cmd_sample(opts, explicit) -> tuple:
 # --- histogram ---
 
 def cmd_histogram(opts, explicit) -> tuple:
+    if opts["range"] is not None and not opts["range"][0] < opts["range"][1]:
+        raise UsageError("--range requires lo < hi")
     in_path = Path(opts["in"])
     try:
         _, samples = sampler.load_measure_csv(in_path)
@@ -339,16 +339,10 @@ def cmd_histogram(opts, explicit) -> tuple:
 
     density = potentials.marginal_pdf(target)
     first = samples[:, 0]
-    if opts["range"] is not None:
-        lo, hi = opts["range"]
-        if not lo < hi:
-            raise UsageError("--range requires lo < hi")
-    else:
+    if opts["range"] is None:
         lo, hi = density.support
-        lo = min(lo, float(first.min()) - 0.5)
-        hi = max(hi, float(first.max()) + 0.5)
-    opts["range"] = [lo, hi]
-    hist = metrics.histogram(first, opts["bins"], (lo, hi))
+        opts["range"] = [min(lo, float(first.min()) - 0.5), max(hi, float(first.max()) + 0.5)]
+    hist = metrics.histogram(first, opts["bins"], opts["range"])
     analytic = np.asarray(density.pdf(hist.centers), dtype=float)
     ks = metrics.ks_statistic(first, density.cdf)
 
@@ -376,6 +370,9 @@ def cmd_rate(opts, explicit) -> tuple:
 
     if metric == "gaussian-exact" and target.exact_draw is None:
         raise UsageError("--metric gaussian-exact requires a target drawn exactly (gaussian)")
+    if metric == "gaussian-exact" and not analytic:
+        raise UsageError("--metric gaussian-exact is the closed-form W2 and requires --analytic; "
+                         "for a sampled distance use --metric w1|w2")
     if analytic and (metric != "gaussian-exact" or dim != 1):
         raise UsageError("--analytic requires --metric gaussian-exact and --dim 1")
     # an option that cannot shape the result is refused, not ignored
@@ -406,9 +403,8 @@ def cmd_rate(opts, explicit) -> tuple:
                                          horizon=opts["horizon"], master_seed=seed)
                    for lam in grid]
         if target.exact_draw is None:
-            lam_max, _ = constants_mod.step_size_limits_for_target(target)
             if opts["ref_fine_step"] is None:
-                opts["ref_fine_step"] = lam_max / 10.0
+                opts["ref_fine_step"] = constants_mod.certified_moduli(target).lambda_max / 10.0
             if opts["ref_horizon"] is None:
                 opts["ref_horizon"] = min(opts["horizon"], 50.0)
         b = _chains(
@@ -420,7 +416,7 @@ def cmd_rate(opts, explicit) -> tuple:
             a = _chains(f"lambda={cfg.lam:g}", sampler.run_chains, cfg, target,
                         n_workers=workers).samples
             p = 2 if metric.endswith("2") else 1
-            if metric in ("w1", "w2", "gaussian-exact"):
+            if metric in ("w1", "w2"):
                 dist = metrics.wasserstein_1d(a[:, 0], b[:, 0], p=p)
             else:
                 dist = metrics.sliced_wasserstein(
@@ -442,12 +438,8 @@ def cmd_constants(opts, explicit) -> tuple:
     dim, beta = opts["dim"], opts["beta"]
     target = potentials.make_target(opts["target"], dim)
 
-    v2 = v2_err = None
-    if opts["v2_method"] != "none":
-        v2, v2_err = sampler.estimate_v2_integral(
-            target, beta, method=opts["v2_method"], n_draws=opts["v2_draws"],
-            master_seed=opts["seed"],
-        )
+    # the target's closed form: every built-in target has one
+    v2, v2_err = sampler.estimate_v2_integral(target, beta)
     dc = constants_mod.derive_constants(
         target, beta, dim, p_list=opts["p_list"], v2_integral=v2, v2_stderr=v2_err,
     )

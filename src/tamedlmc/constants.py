@@ -3,8 +3,9 @@ the tamed chain, in five stages that each derive their constants once:
 
 1. ``certified_moduli(target)``: the base moduli a_bar, b_bar,
    b_bar_prime, R (dissipativity), R_bar, L_bar (one-sided Lipschitz),
-   C_grad, L_bar_grad (Hessian growth) and grad_h0_norm = |H(0)|, from
-   the target alone.  ``check`` reads only this stage.
+   C_grad, L_bar_grad (Hessian growth), grad_h0_norm = |H(0)| and the
+   step-size limits lambda_max, lambda_1_max, from the target alone.
+   ``check`` and the samplers read only this stage.
 2. ``derive_moment_constants``: kappa, c0, kappa_star and the per-degree
    tables M1, kappa_tilde, M2, c1, c2, c3, c_star; reads a_bar, b_bar.
 3. ``derive_drift_constants``: the per-degree tables M_V, c_V1, c_V2;
@@ -63,66 +64,43 @@ def _v_mp(p: int, w: mpf) -> mpf:
 
 # --- base constants ---
 
-def derive_bar_constants(target: TargetSpec):
-    """Dissipativity constants (a_bar, b_bar, b_bar_prime, R).
+def certified_moduli(target: TargetSpec) -> SimpleNamespace:
+    """The base stage, from the target alone: every later stage, the
+    certificates and the samplers' step-size warning read it.
 
     r > 0 branch:
-        R = max((4b/a)^{1/(r-r_bar)}, 2^{1/r})
+        R = max((4b/a)^{1/(r-r_bar)}, 2^{1/r}), R_bar = (b/a)^{1/(r-r_bar)}
         a_bar = a/2
         b_bar = (b + a/2) R^{r_bar+2} + K^2/(2a)
         b_bar_prime = b_bar + 2^{2/r} a_bar
-    r = 0 branch: a_bar = a_tilde, b_bar = b_bar_prime = b_tilde, R absent.
+    r = 0 branch: a_bar = a_tilde, b_bar = b_bar_prime = b_tilde, R absent,
+    R_bar = 0.  Then L_bar = L (1 + 2 R_bar)^r, C_grad = 2 max(2^{nu-1}
+    L_grad, grad_h0_norm) with grad_h0_norm = |H(0)|, L_bar_grad = 3^{nu-1}
+    L_grad, and the step-size limits (floats) lambda_max = min{1,
+    a_bar^2/(8K^4), 1/a_bar^2} and lambda_1_max = min{1, a_bar^2/(8K^4)}.
     """
     K = mpf(target.K)
     if target.r > 0:
         r, r_bar = mpf(target.r), mpf(target.r_bar)
         a, b = mpf(target.a), mpf(target.b)
         R = max((4 * b / a) ** (1 / (r - r_bar)), mpf(2) ** (1 / r))
+        R_bar = (b / a) ** (1 / (r - r_bar))
         a_bar = a / 2
         b_bar = (b + a / 2) * R ** (r_bar + 2) + K**2 / (2 * a)
         b_bar_prime = b_bar + mpf(2) ** (2 / r) * a_bar
-        return a_bar, b_bar, b_bar_prime, R
-    a_bar = mpf(target.a_tilde)
-    b_tilde = mpf(target.b_tilde)
-    return a_bar, b_tilde, b_tilde, None
-
-
-def derive_lipschitz_constants(target: TargetSpec, grad_h0_norm: float):
-    """(R_bar, L_bar, C_grad, L_bar_grad): the one-sided Lipschitz radius
-    and modulus plus the Hessian growth constants, given |H(0)|."""
-    if target.r > 0:
-        R_bar = (mpf(target.b) / mpf(target.a)) ** (1 / (mpf(target.r) - mpf(target.r_bar)))
     else:
-        R_bar = mpf(0)
-    L_bar = mpf(target.L) * (1 + 2 * R_bar) ** target.r
-    C_grad = 2 * max(mpf(2) ** (target.nu - 1) * mpf(target.L_grad), mpf(grad_h0_norm))
-    L_bar_grad = mpf(3) ** (target.nu - 1) * mpf(target.L_grad)
-    return R_bar, L_bar, C_grad, L_bar_grad
-
-
-def certified_moduli(target: TargetSpec) -> SimpleNamespace:
-    """The base stage: (a_bar, b_bar, b_bar_prime, R) and (R_bar, L_bar,
-    C_grad, L_bar_grad) with grad_h0_norm = |H(0)|, which both
-    ``derive_constants`` and ``certify_derived_constants`` read."""
-    a_bar, b_bar, b_bar_prime, R = derive_bar_constants(target)
+        R, R_bar = None, mpf(0)
+        a_bar = mpf(target.a_tilde)
+        b_bar = b_bar_prime = mpf(target.b_tilde)
     grad_h0_norm = float(hessian_norm(target, np.zeros((1, target.d)))[0])
-    R_bar, L_bar, C_grad, L_bar_grad = derive_lipschitz_constants(target, grad_h0_norm)
-    return SimpleNamespace(a_bar=a_bar, b_bar=b_bar, b_bar_prime=b_bar_prime, R=R, R_bar=R_bar,
-                           L_bar=L_bar, C_grad=C_grad, L_bar_grad=L_bar_grad, grad_h0_norm=grad_h0_norm)
-
-
-def step_size_limits(a_bar, K) -> tuple[float, float]:
-    """(lam_max, lam_1_max) = (min{1, a_bar^2/(8K^4), 1/a_bar^2},
-    min{1, a_bar^2/(8K^4)})."""
-    a_bar, K = mpf(a_bar), mpf(K)
     lam_1 = min(mpf(1), a_bar**2 / (8 * K**4))
-    lam_max = min(lam_1, 1 / a_bar**2)
-    return float(lam_max), float(lam_1)
-
-
-def step_size_limits_for_target(target: TargetSpec) -> tuple[float, float]:
-    a_bar, _, _, _ = derive_bar_constants(target)
-    return step_size_limits(a_bar, target.K)
+    return SimpleNamespace(
+        a_bar=a_bar, b_bar=b_bar, b_bar_prime=b_bar_prime, R=R, R_bar=R_bar,
+        L_bar=mpf(target.L) * (1 + 2 * R_bar) ** target.r,
+        C_grad=2 * max(mpf(2) ** (target.nu - 1) * mpf(target.L_grad), mpf(grad_h0_norm)),
+        L_bar_grad=mpf(3) ** (target.nu - 1) * mpf(target.L_grad), grad_h0_norm=grad_h0_norm,
+        lambda_max=float(min(lam_1, 1 / a_bar**2)), lambda_1_max=float(lam_1),
+    )
 
 
 # --- moment constants ---
@@ -549,11 +527,9 @@ def derive_constants(
     drift = derive_drift_constants(moduli, beta, d, sorted(set(need["M_V"]) | {p for p in p_extra if p >= 1}))
     contraction = derive_contraction_constants(moduli, drift, beta)
     theorem = derive_theorem_constants(target, moduli, beta, d, v2_integral, moment, drift, contraction)
-    lam_max, lam_1_max = step_size_limits(moduli.a_bar, target.K)
     # a name two stages both return is a TypeError here, not a silent overwrite
     return DerivedConstants(
-        target_name=target.name, beta=beta, d=d, r=target.r,
-        lambda_max=lam_max, lambda_1_max=lam_1_max, v2_integral=v2_integral, v2_stderr=v2_stderr,
+        target_name=target.name, beta=beta, d=d, r=target.r, v2_integral=v2_integral, v2_stderr=v2_stderr,
         notes=dict(_NOTES), **vars(moduli), **moment, **drift, **contraction, **theorem,
     )
 

@@ -271,7 +271,7 @@ def run_chains(
     """
     if config.d != target.d:
         raise ValueError(f"config.d={config.d} does not match target.d={target.d}")
-    lam_max, _ = constants_mod.step_size_limits_for_target(target)
+    lam_max = constants_mod.certified_moduli(target).lambda_max
     if config.lam > lam_max:
         warnings.warn(
             f"step size {config.lam:g} exceeds the theoretical maximum "
@@ -395,7 +395,7 @@ def estimate_v2_integral(
             raise ValueError(f"no closed-form second moment for target {target.name!r}")
         return 1.0 + target.second_moment(beta), 0.0
     if fine_step is None:
-        fine_step = constants_mod.step_size_limits_for_target(target)[0] / 10.0
+        fine_step = constants_mod.certified_moduli(target).lambda_max / 10.0
     measure = reference_measure(
         target, beta, master_seed=master_seed, n_draws=n_draws,
         horizon=horizon, fine_step=fine_step,

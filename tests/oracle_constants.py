@@ -213,3 +213,23 @@ def second_path(target, beta, d, grad_h0_norm, v2_integral=None):
     out["c_star"] = {p: cs(p) for p in cs_degrees}
     out["tables"] = {"M1": M1, "kappa_tilde": kt, "c1": c1, "M2": M2, "c2": c2, "c3": c3, "M_V": MV}
     return out
+
+
+# the report's key for each scalar the second path returns under another name
+REPORT_KEY = {
+    "c0": "c_0", "R1_bar": "R_bar_1", "R2_bar": "R_bar_2",
+    "C_bar_11": "C_bar_1_1", "C_bar_21": "C_bar_2_1", "C_bar_12": "C_bar_1_2", "C_bar_22": "C_bar_2_2",
+    "kappa_tilde_2": "kappa_tilde(2)", "M_V_2": "M_V(2)", "c_V1_2": "c_V1(2)", "c_V2_2": "c_V2(2)",
+}
+REPORT_TABLE = {"M1": "M_1", "kappa_tilde": "kappa_tilde", "c1": "c_1", "M2": "M_2",
+                "c2": "c_2", "c3": "c_3", "M_V": "M_V"}
+
+
+def oracle_by_report_key(oracle: dict) -> dict:
+    """``second_path``'s output keyed as ``DerivedConstants.to_report``
+    keys its entries: scalars renamed, tables flattened to ``name(p)``."""
+    out = {REPORT_KEY.get(k, k): v for k, v in oracle.items() if k not in ("c_star", "tables")}
+    out.update({f"c_star({p})": v for p, v in oracle["c_star"].items()})
+    for table, prefix in REPORT_TABLE.items():
+        out.update({f"{prefix}({p})": v for p, v in oracle["tables"][table].items()})
+    return out

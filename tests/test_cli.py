@@ -7,15 +7,13 @@ import pytest
 
 from tamedlmc import cli, constants, potentials, sampler
 from tamedlmc.cli import main
-from tamedlmc.constants import step_size_limits_for_target
+from tamedlmc.constants import certified_moduli
 from tamedlmc.numerics import RngStream
 from tamedlmc.potentials import (
     check_assumption_2,
     make_double_well,
-    make_gaussian,
     override_constants,
 )
-from tamedlmc.sampler import estimate_v2_integral
 
 
 def run(argv):
@@ -214,6 +212,18 @@ class TestHistogram:
         assert "beta = 4.0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_range_refused_before_work(self, tmp_path, monkeypatch, capsys):
+        def heavy(*args, **kwargs):
+            raise AssertionError("the samples were read before --range was checked")
+
+        monkeypatch.setattr(sampler, "load_measure_csv", heavy)
+        monkeypatch.setattr(potentials, "marginal_pdf", heavy)
+        for lo, hi in (("1", "0"), ("0.5", "0.5")):
+            assert run(["histogram", "--in", str(tmp_path / "s.csv"), "--target", "gaussian",
+                        "--out", str(tmp_path / "h.csv"), "--range", lo, hi]) == 2
+            assert "--range requires lo < hi" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("sidecar", ["list", "directory", "malformed"])
     def test_bad_metadata_file_exit_2(self, tmp_path, capsys, sidecar):
         # the samples' metadata file is read as a config file is: one that is
@@ -290,8 +300,7 @@ class TestRate:
             "--ref-horizon", "0.2", "--seed", "1", "--out", str(out),
         ]) == 0
         cfg = json.loads((tmp_path / "dw.csv.manifest.json").read_text())["resolved_config"]
-        lam_max, _ = step_size_limits_for_target(make_double_well(1))
-        assert cfg["ref_fine_step"] == lam_max / 10.0
+        assert cfg["ref_fine_step"] == certified_moduli(make_double_well(1)).lambda_max / 10.0
         assert (cfg["ref_horizon"], cfg["workers"]) == (0.2, 1)
         # an exact reference has no fine step or horizon; n_proj shapes sw1
         out = tmp_path / "g.csv"
@@ -369,6 +378,22 @@ class TestRate:
             "--analytic", "--out", str(tmp_path / "r.csv"),
         ]) == 2
 
+    def test_gaussian_exact_needs_analytic(self, tmp_path, monkeypatch, capsys):
+        # sampled, it would be --metric w1 under another name; the closed-form
+        # W2 is --analytic's
+        def chains(*args, **kwargs):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(sampler, "run_chains", chains)
+        monkeypatch.setattr(sampler, "reference_measure", chains)
+        out = tmp_path / "r.csv"
+        assert run(["rate", "--target", "gaussian", "--dim", "1", "--metric", "gaussian-exact",
+                    "--chains", "20", "--horizon", "0.5", "--grid", "0.4,0.2",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "requires --analytic" in err and "--metric w1|w2" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_gaussian_exact_needs_gaussian(self, tmp_path):
         assert run([
             "rate", "--target", "double-well", "--metric", "gaussian-exact",
@@ -401,15 +426,18 @@ class TestConstants:
         assert c1["log10_value"] > 300
         assert rep["constants"]["v2_integral"]["value"] == pytest.approx(11.46, abs=0.05)
 
-    def test_manifest_records_monte_carlo_options(self, tmp_path):
-        out = tmp_path / "c.json"
-        assert run(["constants", "--target", "gaussian", "--dim", "2", "--v2-method", "mc",
-                    "--v2-draws", "500", "--seed", "3", "--out", str(out)]) == 0
-        cfg = json.loads((tmp_path / "c.json.manifest.json").read_text())["resolved_config"]
-        assert (cfg["v2_method"], cfg["v2_draws"], cfg["seed"]) == ("mc", 500, 3)
-        v2, _ = estimate_v2_integral(make_gaussian(2), 1.0, method="mc", n_draws=500,
-                                     master_seed=3)
-        assert json.loads(out.read_text())["constants"]["v2_integral"]["value"] == v2
+    @pytest.mark.parametrize("name", ["gaussian", "mixture", "double-well"])
+    def test_v2_is_the_targets_closed_form(self, capsys, name):
+        # no Monte Carlo knob: v2 is 1 + the target's own E|theta|^2 at beta
+        assert [n for n, _, _ in cli.command_options("constants")] == [
+            "target", "dim", "beta", "out", "force", "p-list"]
+        assert run(["constants", "--target", name, "--dim", "3", "--beta", "2"]) == 0
+        v2 = json.loads(capsys.readouterr().out)["constants"]["v2_integral"]
+        second_moment = potentials.make_target(name, 3).second_moment(2.0)
+        assert (v2["value"], v2["stderr"]) == (1.0 + second_moment, 0.0)
+        for flag in (["--v2-method", "mc"], ["--v2-draws", "500"], ["--seed", "3"]):
+            assert exit_code(["constants", "--target", name] + flag) == 2, flag
+            assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     def test_stdout_mode(self, capsys):
         assert run(["constants", "--target", "gaussian", "--dim", "2"]) == 0
@@ -491,8 +519,6 @@ class TestOutOfDomainRegressions:
     @pytest.mark.parametrize("line, name", [
         ("rate --target gaussian --dim 1 --metric gaussian-exact --analytic --beta -1 "
          "--grid 0.2,0.1", "beta"),
-        ("constants --target gaussian --v2-method mc --v2-draws 1", "v2-draws"),
-        ("constants --target gaussian --v2-method mc --v2-draws 0", "v2-draws"),
         ("check --target double-well --dim 10 --points 1000 --override L=0.01 --radius nan",
          "radius"),
         ("check --target double-well --dim 10 --points 1000 --override L=0.01 --radius inf",
@@ -545,8 +571,7 @@ class TestManifest:
             monkeypatch.chdir(cwd)
             cli._version_stamp.cache_clear()
             out = tmp_path / f"v{len(versions)}.json"
-            assert run(["constants", "--target", "gaussian", "--dim", "2", "--v2-method", "none",
-                        "--out", str(out)]) == 0
+            assert run(["constants", "--target", "gaussian", "--dim", "2", "--out", str(out)]) == 0
             manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
             versions.append(manifest["version"])
         assert versions[0] == versions[1]
@@ -639,7 +664,7 @@ class TestOutputs:
         assert list(tmp_path.iterdir()) == []
 
 
-IN_DOMAIN = {"grid": "0.2,0.1", "override": "L=1", "v2-draws": "2"}
+IN_DOMAIN = {"grid": "0.2,0.1", "override": "L=1"}
 
 # Values outside each numeric or list option's domain.
 OUT_OF_DOMAIN = {
@@ -648,7 +673,6 @@ OUT_OF_DOMAIN = {
     **dict.fromkeys(("theta0", "range"), ("nan", "inf", "-inf")),
     **dict.fromkeys(("dim", "chains", "workers", "bins", "n-proj", "points"),
                     ("0", "-1", "nan", "inf", "1.5")),
-    "v2-draws": ("1", "0", "nan", "inf"),
     "seed": ("-1", "nan", "inf"),
     "grid": ("0.1", "0.1,0.1", "0.1,0", "0.1,-1", "0.1,nan", "0.1,inf", "0.1,x"),
     "p-list": ("-1", "2,-3", "1.5", "nan", "inf"),
@@ -714,8 +738,7 @@ class TestOptionTable:
             "histogram": ["--in", sample, "--out", str(tmp_path / "h.csv")],
             "rate": ["--target", "gaussian", "--dim", "2", "--metric", "sw1", "--chains", "20",
                      "--horizon", "0.5", "--grid", "0.2,0.1", "--out", str(tmp_path / "r.csv")],
-            "constants": ["--target", "gaussian", "--v2-method", "none",
-                          "--out", str(tmp_path / "c.json")],
+            "constants": ["--target", "gaussian", "--out", str(tmp_path / "c.json")],
             "check": ["--target", "gaussian", "--dim", "2", "--points", "50",
                       "--out", str(tmp_path / "k.json")],
         }

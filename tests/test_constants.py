@@ -1,21 +1,22 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from oracle_constants import second_path
+from oracle_constants import oracle_by_report_key, second_path
 from tamedlmc.numerics import RngStream
-from tamedlmc.potentials import hessian_norm, make_double_well, make_gaussian, make_target
+from tamedlmc.potentials import (
+    hessian_norm, make_double_well, make_gaussian, make_target, override_constants,
+)
 from tamedlmc.constants import (
     certified_moduli,
     certify_derived_constants,
-    derive_bar_constants,
     derive_constants,
-    derive_lipschitz_constants,
     log_contraction_integral,
-    step_size_limits,
 )
 
 ALL_NAMES = ["gaussian", "mixture", "double-well"]
@@ -30,46 +31,75 @@ def rel_err(a, b):
 
 class TestBarConstants:
     def test_double_well(self):
-        t = make_double_well(2)
-        a_bar, b_bar, b_bar_prime, R = derive_bar_constants(t)
-        assert float(a_bar) == 0.25
-        assert abs(float(b_bar) - 14.0) < 1e-12
-        assert abs(float(b_bar_prime) - 14.5) < 1e-12
-        assert abs(float(R) - math.sqrt(8.0)) < 1e-12
+        m = certified_moduli(make_double_well(2))
+        assert float(m.a_bar) == 0.25
+        assert abs(float(m.b_bar) - 14.0) < 1e-12
+        assert abs(float(m.b_bar_prime) - 14.5) < 1e-12
+        assert abs(float(m.R) - math.sqrt(8.0)) < 1e-12
 
     def test_gaussian(self):
-        a_bar, b_bar, b_bar_prime, R = derive_bar_constants(make_gaussian(3))
-        assert (float(a_bar), float(b_bar), float(b_bar_prime)) == (1.0, 1.0, 1.0)
-        assert R is None
+        m = certified_moduli(make_gaussian(3))
+        assert (float(m.a_bar), float(m.b_bar), float(m.b_bar_prime)) == (1.0, 1.0, 1.0)
+        assert m.R is None
 
     def test_mixture(self):
-        a_bar, b_bar, b_bar_prime, _ = derive_bar_constants(make_target("mixture", 4))
-        assert (float(a_bar), float(b_bar), float(b_bar_prime)) == (0.5, 2.0, 2.0)
+        m = certified_moduli(make_target("mixture", 4))
+        assert (float(m.a_bar), float(m.b_bar), float(m.b_bar_prime)) == (0.5, 2.0, 2.0)
 
 
 class TestLipschitzConstants:
     def test_double_well(self):
-        t = make_double_well(2)
-        R_bar, L_bar, C_grad, L_bar_grad = derive_lipschitz_constants(t, 1.0)  # |H(0)| = 1
-        assert abs(float(R_bar) - math.sqrt(2.0)) < 1e-12
-        assert abs(float(L_bar) - (1 + 2 * math.sqrt(2)) ** 2) < 1e-10
+        m = certified_moduli(make_double_well(2))
+        assert m.grad_h0_norm == 1.0
+        assert abs(float(m.R_bar) - math.sqrt(2.0)) < 1e-12
+        assert abs(float(m.L_bar) - (1 + 2 * math.sqrt(2)) ** 2) < 1e-10
         # C_grad = 2 max(2^0 * 3, |hess(0)| = 1) = 6
-        assert abs(float(C_grad) - 6.0) < 1e-8
-        assert float(L_bar_grad) == 3.0
+        assert abs(float(m.C_grad) - 6.0) < 1e-8
+        assert float(m.L_bar_grad) == 3.0
 
     def test_gaussian(self):
-        R_bar, L_bar, C_grad, L_bar_grad = derive_lipschitz_constants(make_gaussian(2), 1.0)
-        assert float(R_bar) == 0.0
-        assert float(L_bar) == 1.0
-        assert abs(float(C_grad) - 2.0) < 1e-8
-        assert abs(float(L_bar_grad) - 1.0 / 3.0) < 1e-15
+        m = certified_moduli(make_gaussian(2))
+        assert m.grad_h0_norm == 1.0
+        assert float(m.R_bar) == 0.0
+        assert float(m.L_bar) == 1.0
+        assert abs(float(m.C_grad) - 2.0) < 1e-8
+        assert abs(float(m.L_bar_grad) - 1.0 / 3.0) < 1e-15
+
+
+class TestStepSizeLimits:
+    # a_bar^2/(8K^4) meets 1 at K = (a_bar^2/8)^(1/4) and 1/a_bar^2 at
+    # K = (a_bar^4/8)^(1/4); each arm draws a_bar in its range and K a
+    # factor u below (or above) the crossings, so that arm is the minimum
+    @settings(max_examples=120, deadline=None)
+    @given(arm=st.sampled_from(["1", "a_bar^2/(8K^4)", "1/a_bar^2"]),
+           name=st.sampled_from(["double-well", "gaussian"]),
+           fraction=st.floats(0.0, 1.0), u=st.floats(0.2, 0.9))
+    def test_limits_are_the_formula(self, arm, name, fraction, u):
+        if arm == "1":
+            a_bar = 0.1 + 0.9 * fraction
+            K = u * (a_bar**2 / 8) ** 0.25
+        elif arm == "1/a_bar^2":
+            a_bar = 1.5 + 8.5 * fraction
+            K = u * (a_bar**4 / 8) ** 0.25
+        else:
+            a_bar = 0.1 + 9.9 * fraction
+            K = max(a_bar**2 / 8, a_bar**4 / 8) ** 0.25 / u
+        # a_bar is a/2 on the double-well (r > 0) and a_tilde on the Gaussian (r = 0)
+        if name == "double-well":
+            t = override_constants(make_double_well(2), a=2 * a_bar, K=K)
+        else:
+            t = override_constants(make_gaussian(2), a_tilde=a_bar, K=K)
+        m = certified_moduli(t)
+        assert float(m.a_bar) == a_bar
+        # the formula on the exact rationals of the float inputs, rounded once
+        a, k = Fraction(a_bar), Fraction(K)
+        arms = {"1": Fraction(1), "a_bar^2/(8K^4)": a**2 / (8 * k**4), "1/a_bar^2": 1 / a**2}
+        assert min(arms.values()) == arms[arm]
+        assert m.lambda_max == float(min(arms.values()))
+        assert m.lambda_1_max == float(min(arms["1"], arms["a_bar^2/(8K^4)"]))
 
 
 class TestSpotValues:
-    def test_step_size_limits(self):
-        assert step_size_limits(1.0, 1.0) == (0.125, 0.125)
-        assert step_size_limits(0.25, 2.0) == (1 / 2048, 1 / 2048)
-
     def test_kappa_and_c0(self):
         dc = derive_constants(make_gaussian(2), beta=1.0, d=2)
         assert float(dc.kappa) == pytest.approx(1 / math.sqrt(2), rel=1e-15)
@@ -223,24 +253,6 @@ class TestSecondPathAgreement:
             check(f"M_V({p})", dc.M_V[p], v)
 
 
-# the report's key for each scalar the second path returns under another name
-REPORT_KEY = {
-    "c0": "c_0", "R1_bar": "R_bar_1", "R2_bar": "R_bar_2",
-    "C_bar_11": "C_bar_1_1", "C_bar_21": "C_bar_2_1", "C_bar_12": "C_bar_1_2", "C_bar_22": "C_bar_2_2",
-    "kappa_tilde_2": "kappa_tilde(2)", "M_V_2": "M_V(2)", "c_V1_2": "c_V1(2)", "c_V2_2": "c_V2(2)",
-}
-REPORT_TABLE = {"M1": "M_1", "kappa_tilde": "kappa_tilde", "c1": "c_1", "M2": "M_2",
-                "c2": "c_2", "c3": "c_3", "M_V": "M_V"}
-
-
-def oracle_by_report_key(oracle: dict) -> dict:
-    out = {REPORT_KEY.get(k, k): v for k, v in oracle.items() if k not in ("c_star", "tables")}
-    out.update({f"c_star({p})": v for p, v in oracle["c_star"].items()})
-    for table, prefix in REPORT_TABLE.items():
-        out.update({f"{prefix}({p})": v for p, v in oracle["tables"][table].items()})
-    return out
-
-
 class TestReportAgainstSecondPath:
     """The JSON report, key by key, against the independent second path."""
 
@@ -318,6 +330,7 @@ class TestCertificates:
         dc = derive_constants(t, beta=1.0, d=4)
         moduli = certified_moduli(t)
         assert set(vars(moduli)) == {"a_bar", "b_bar", "b_bar_prime", "R", "R_bar", "L_bar",
-                                     "C_grad", "L_bar_grad", "grad_h0_norm"}
+                                     "C_grad", "L_bar_grad", "grad_h0_norm",
+                                     "lambda_max", "lambda_1_max"}
         for key, value in vars(moduli).items():
             assert getattr(dc, key) == value, key

@@ -32,7 +32,7 @@ from tamedlmc.sampler import (
     save_measure_csv,
     tamed_gradient,
 )
-from tamedlmc.constants import derive_constants, step_size_limits_for_target
+from tamedlmc.constants import certified_moduli, derive_constants
 
 
 def step_alone(target, lam, beta, theta, gen, tamed=True):
@@ -477,9 +477,8 @@ class TestReference:
         from tamedlmc.potentials import marginal_pdf
 
         t = make_target("mixture", 2)
-        lam_max, _ = step_size_limits_for_target(t)
         ref = reference_measure(t, beta=1.0, horizon=10.0,
-                                fine_step=lam_max / 10.0, master_seed=31,
+                                fine_step=certified_moduli(t).lambda_max / 10.0, master_seed=31,
                                 n_draws=10_000, n_workers=2)
         md = marginal_pdf(t)
         cdf = cdf_from_pdf(md.pdf, *marginal_support(md.pdf))
@@ -488,9 +487,10 @@ class TestReference:
 
 class TestStepSizeLimits:
     def test_examples(self):
-        assert step_size_limits_for_target(make_gaussian(2)) == (0.125, 0.125)
-        assert step_size_limits_for_target(make_double_well(2)) == (1 / 2048, 1 / 2048)
-        assert step_size_limits_for_target(make_target("mixture", 4)) == (1 / 512, 1 / 512)
+        for t, lam in ((make_gaussian(2), 0.125), (make_double_well(2), 1 / 2048),
+                       (make_target("mixture", 4), 1 / 512)):
+            m = certified_moduli(t)
+            assert (m.lambda_max, m.lambda_1_max) == (lam, lam), t.name
 
     def test_warning_above_limit(self):
         t = make_double_well(2)
@@ -509,7 +509,7 @@ class TestV2Integral:
     def test_quadrature_vs_monte_carlo(self, name):
         t = make_target(name, 3)
         v2q, _ = estimate_v2_integral(t, beta=1.0)
-        lam_max, _ = step_size_limits_for_target(t)
+        lam_max = certified_moduli(t).lambda_max
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             v2m, se = estimate_v2_integral(
