@@ -22,7 +22,6 @@ import json
 import math
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -278,9 +277,7 @@ def _chains(where: str, run, *args, every=True, **kwargs) -> sampler.EmpiricalMe
     lost every chain or, with ``every``, any chain: a distance between
     survivors is not the one asked for."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            measure = run(*args, **kwargs)
+        measure = run(*args, **kwargs)
     except sampler.DivergenceError as exc:
         print(f"error at {where}: {exc}", file=sys.stderr)
         raise DivergenceExit() from exc
@@ -439,10 +436,8 @@ def cmd_constants(opts, explicit) -> tuple:
     target = potentials.make_target(opts["target"], dim)
 
     # the target's closed form: every built-in target has one
-    v2, v2_err = sampler.estimate_v2_integral(target, beta)
-    dc = constants_mod.derive_constants(
-        target, beta, dim, p_list=opts["p_list"], v2_integral=v2, v2_stderr=v2_err,
-    )
+    v2 = sampler.estimate_v2_integral(target, beta)
+    dc = constants_mod.derive_constants(target, beta, dim, p_list=opts["p_list"], v2_integral=v2)
     report = dc.to_report()
     return 0, [report], _json(report) if opts["out"] is None else f"wrote {Path(opts['out'])}"
 

@@ -66,7 +66,7 @@ def _v_mp(p: int, w: mpf) -> mpf:
 
 def certified_moduli(target: TargetSpec) -> SimpleNamespace:
     """The base stage, from the target alone: every later stage, the
-    certificates and the samplers' step-size warning read it.
+    certificates and ``sample``'s step-size warning read it.
 
     r > 0 branch:
         R = max((4b/a)^{1/(r-r_bar)}, 2^{1/r}), R_bar = (b/a)^{1/(r-r_bar)}
@@ -367,7 +367,6 @@ class DerivedConstants(SimpleNamespace):
                 "value": self.v2_integral,
                 "representable": True,
                 "formula_ref": "integral of (1+|theta|^2) under the target law",
-                "stderr": self.v2_stderr,
             }
         return rep
 
@@ -508,18 +507,17 @@ def derive_constants(
     d: int,
     p_list=None,
     v2_integral: float | None = None,
-    v2_stderr: float | None = None,
 ) -> DerivedConstants:
     """Evaluate the full constant pipeline for one (target, beta, d).
 
-    v2_integral (the second-moment functional of the target law) must be
-    supplied for the horizon constants C1 and C4; pass the analytic value
-    1 + d/beta for the Gaussian or an estimate otherwise.
+    ``d`` must be ``target.d``.  v2_integral (the second-moment functional
+    of the target law, ``sampler.estimate_v2_integral``) must be supplied
+    for the horizon constants C1 and C4.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    if d != target.d:
+        raise ValueError(f"d={d} does not match target.d={target.d}")
     need = required_degrees(target)
     p_extra = sorted({int(p) for p in (p_list or [])})
     moduli = certified_moduli(target)
@@ -529,7 +527,7 @@ def derive_constants(
     theorem = derive_theorem_constants(target, moduli, beta, d, v2_integral, moment, drift, contraction)
     # a name two stages both return is a TypeError here, not a silent overwrite
     return DerivedConstants(
-        target_name=target.name, beta=beta, d=d, r=target.r, v2_integral=v2_integral, v2_stderr=v2_stderr,
+        target_name=target.name, beta=beta, d=d, r=target.r, v2_integral=v2_integral,
         notes=dict(_NOTES), **vars(moduli), **moment, **drift, **contraction, **theorem,
     )
 

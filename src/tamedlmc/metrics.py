@@ -30,8 +30,7 @@ def wasserstein_1d(xs, ys, p: float = 1) -> float:
     return float(np.mean(diff**p) ** (1.0 / p))
 
 
-def sliced_wasserstein(A, B, p: float = 2, n_proj: int = 256,
-                       stream: RngStream | None = None) -> float:
+def sliced_wasserstein(A, B, p: float = 2, n_proj: int = 256, *, stream: RngStream) -> float:
     """Monte Carlo sliced Wasserstein distance between two equal-size
     sample sets in R^d: ((1/n_proj) sum_k W_p(<A,u_k>, <B,u_k>)^p)^(1/p)
     over uniformly random unit directions u_k.
@@ -46,10 +45,7 @@ def sliced_wasserstein(A, B, p: float = 2, n_proj: int = 256,
         raise ValueError(f"sample shape mismatch: {A.shape} vs {B.shape}")
     if n_proj < 1:
         raise ValueError("n_proj must be >= 1")
-    d = A.shape[1]
-    if stream is None:
-        stream = RngStream(0, 0)
-    dirs = stream.normal((n_proj, d))
+    dirs = stream.normal((n_proj, A.shape[1]))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     dirs /= norms
@@ -133,13 +129,16 @@ def histogram(xs, n_bins: int, value_range) -> Histogram:
                      inside_fraction=inside)
 
 
-def cdf_from_pdf(pdf, lo: float, hi: float, n_grid: int = 4096):
-    """Tabulate a CDF by trapezoidal quadrature of a density on a grid and
-    return a monotone piecewise-linear interpolant (clamped to [0, mass]
-    outside the grid)."""
-    if n_grid < 2:
-        raise ValueError("n_grid must be >= 2")
-    grid = np.linspace(lo, hi, n_grid)
+CDF_GRID = 4096  # points of the grid cdf_from_pdf tabulates on
+SUPPORT_START = (-3.0, 3.0)  # marginal_support's first window
+SUPPORT_TAIL = 1e-10  # the density at both ends below which it stops growing
+
+
+def cdf_from_pdf(pdf, lo: float, hi: float):
+    """Tabulate a CDF by trapezoidal quadrature of a density on a grid of
+    CDF_GRID points and return a monotone piecewise-linear interpolant
+    (clamped to [0, mass] outside the grid)."""
+    grid = np.linspace(lo, hi, CDF_GRID)
     pv = np.asarray(pdf(grid), dtype=float)
     if np.any(pv < 0):
         raise ValueError("density must be non-negative")
@@ -153,11 +152,12 @@ def cdf_from_pdf(pdf, lo: float, hi: float, n_grid: int = 4096):
     return cdf
 
 
-def marginal_support(pdf, lo: float = -3.0, hi: float = 3.0,
-                     tail: float = 1e-10) -> tuple[float, float]:
-    """Grow [lo, hi] until the density at both ends is below ``tail``."""
-    while pdf(hi) > tail and hi < 1e3:
+def marginal_support(pdf) -> tuple[float, float]:
+    """Grow SUPPORT_START by whole units until the density at both ends is
+    below SUPPORT_TAIL."""
+    lo, hi = SUPPORT_START
+    while pdf(hi) > SUPPORT_TAIL and hi < 1e3:
         hi += 1.0
-    while pdf(lo) > tail and lo > -1e3:
+    while pdf(lo) > SUPPORT_TAIL and lo > -1e3:
         lo -= 1.0
     return lo, hi

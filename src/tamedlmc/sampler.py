@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ import numpy as np
 
 from .numerics import RngStream
 from .potentials import TargetSpec, row_norm_sq
-from . import constants as constants_mod
 
 ALGORITHMS = ("mtula", "ula")
 
@@ -268,16 +266,11 @@ def run_chains(
     from the sample matrix and reported in meta["diverged_chains"]; if
     every chain diverges a DivergenceError is raised.  Output is a pure
     function of (config, target): worker count only affects wall time.
+    Any lam > 0 runs: lambda_max is only the theorem's sufficient bound,
+    and ``sample`` warns past it itself.
     """
     if config.d != target.d:
         raise ValueError(f"config.d={config.d} does not match target.d={target.d}")
-    lam_max = constants_mod.certified_moduli(target).lambda_max
-    if config.lam > lam_max:
-        warnings.warn(
-            f"step size {config.lam:g} exceeds the theoretical maximum "
-            f"{lam_max:g} for target {target.name!r}; running anyway",
-            stacklevel=2,
-        )
 
     indices = np.arange(config.n_chains)
     args = (
@@ -345,11 +338,7 @@ def reference_measure(
         raise ValueError(f"target {target.name!r} has no exact draw: give horizon and fine_step")
     config = SamplerConfig(lam=fine_step, beta=beta, d=target.d, n_chains=n_draws,
                            horizon=horizon, master_seed=master_seed)
-    with warnings.catch_warnings():
-        # fine_step may exceed lam_max, only the theorem's sufficient bound;
-        # a chain that step loses is listed in meta["diverged_chains"] instead
-        warnings.simplefilter("ignore")
-        return run_chains(config, target, n_workers=n_workers)
+    return run_chains(config, target, n_workers=n_workers)
 
 
 # --- closed forms for the Gaussian chain (exactly solvable case) ---
@@ -371,37 +360,12 @@ def gaussian_chain_std(lam: float, beta: float = 1.0, n_steps: int | None = None
 
 # --- second-moment functional of the target law ---
 
-def estimate_v2_integral(
-    target: TargetSpec,
-    beta: float,
-    method: str = "quadrature",
-    n_draws: int = 100_000,
-    horizon: float = 20.0,
-    fine_step: float | None = None,
-    master_seed: int = 0,
-) -> tuple[float, float]:
-    """Integral of (1 + |theta|^2) under the target law, with a standard
-    error (zero for the closed form).
-
-    quadrature: the target's closed-form second moment; a target without
-    one raises.
-    mc: Monte Carlo over ``reference_measure`` draws (a fine-step chain
-    at lam_max / 10 unless ``fine_step`` is given, or exact draws).
-    """
-    if method not in ("quadrature", "mc"):
-        raise ValueError("method must be quadrature or mc")
-    if method == "quadrature":
-        if target.second_moment is None:
-            raise ValueError(f"no closed-form second moment for target {target.name!r}")
-        return 1.0 + target.second_moment(beta), 0.0
-    if fine_step is None:
-        fine_step = constants_mod.certified_moduli(target).lambda_max / 10.0
-    measure = reference_measure(
-        target, beta, master_seed=master_seed, n_draws=n_draws,
-        horizon=horizon, fine_step=fine_step,
-    )
-    v2 = 1.0 + np.sum(measure.samples**2, axis=1)
-    return float(np.mean(v2)), float(np.std(v2, ddof=1) / math.sqrt(v2.size))
+def estimate_v2_integral(target: TargetSpec, beta: float) -> float:
+    """Integral of (1 + |theta|^2) under the target law at ``beta``: the
+    target's closed-form second moment; a target without one raises."""
+    if target.second_moment is None:
+        raise ValueError(f"no closed-form second moment for target {target.name!r}")
+    return 1.0 + float(target.second_moment(beta))
 
 
 # --- CSV / JSON serialization ---
@@ -418,14 +382,23 @@ def save_measure_csv(measure: EmpiricalMeasure, path) -> None:
 
 
 def load_measure_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a samples CSV; returns (chain_ids, samples)."""
+    """Read a samples CSV; returns (chain_ids, samples).  A row whose field
+    count is not the header's, or with a non-finite coordinate, raises
+    ValueError naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("chain,"):
             raise ValueError(f"{path}: not a samples CSV (bad header {header!r})")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        rows = [(n, line.strip().split(",")) for n, line in enumerate(fh, start=2) if line.strip()]
     if not rows:
         raise ValueError(f"{path}: no sample rows")
-    chain_ids = np.array([int(r[0]) for r in rows])
-    samples = np.array([[float(v) for v in r[1:]] for r in rows])
+    width = header.count(",") + 1
+    for n, r in rows:
+        if len(r) != width:
+            raise ValueError(f"{path} line {n}: {len(r)} fields, the header has {width}")
+    chain_ids = np.array([int(r[0]) for _, r in rows])
+    samples = np.array([[float(v) for v in r[1:]] for _, r in rows])
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path} line {rows[bad[0]][0]}: non-finite coordinate")
     return chain_ids, samples

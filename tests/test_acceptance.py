@@ -6,7 +6,6 @@ experiment protocol at desk scale)."""
 import itertools
 import json
 import math
-import warnings
 
 import numpy as np
 from mpmath import mp, mpf
@@ -155,16 +154,14 @@ def test_criterion_05_double_well_bias_decreases():
     t = make_target("double-well", 2)
     grid = [0.1, 0.05, 0.025, 0.01]
     n = 10_000
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ref = reference_measure(t, 1.0, horizon=15.0, fine_step=1e-4,
-                                master_seed=777, n_draws=n, n_workers=2)
-        dists = []
-        for lam in grid:
-            cfg = SamplerConfig(lam=lam, beta=1.0, d=2, n_chains=n, horizon=15.0,
-                                master_seed=123)
-            m = run_chains(cfg, t, n_workers=2)
-            dists.append(wasserstein_1d(m.samples[:, 0], ref.samples[:, 0], p=1))
+    ref = reference_measure(t, 1.0, horizon=15.0, fine_step=1e-4,
+                            master_seed=777, n_draws=n, n_workers=2)
+    dists = []
+    for lam in grid:
+        cfg = SamplerConfig(lam=lam, beta=1.0, d=2, n_chains=n, horizon=15.0,
+                            master_seed=123)
+        m = run_chains(cfg, t, n_workers=2)
+        dists.append(wasserstein_1d(m.samples[:, 0], ref.samples[:, 0], p=1))
     fit = fit_rate(grid, dists)
     monotone = all(a > b for a, b in zip(dists, dists[1:]))
     ok = monotone and fit.slope > 0.0 and fit.r_squared >= 0.8
@@ -175,18 +172,16 @@ def test_criterion_05_double_well_bias_decreases():
 def test_criterion_06_desk_scale_histograms():
     # desk preset: d=20, 500 chains, horizon 400
     ks_values = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name in ALL_NAMES:
-            t = make_target(name, 20)
-            md = marginal_pdf(t)
-            cdf = cdf_from_pdf(md.pdf, *marginal_support(md.pdf))
-            lams = [0.001, 0.1] if name == "double-well" else [0.001]
-            for lam in lams:
-                cfg = SamplerConfig(lam=lam, beta=1.0, d=20, n_chains=500,
-                                    horizon=400.0, master_seed=42)
-                m = run_chains(cfg, t, n_workers=2)
-                ks_values[(name, lam)] = ks_statistic(m.samples[:, 0], cdf)
+    for name in ALL_NAMES:
+        t = make_target(name, 20)
+        md = marginal_pdf(t)
+        cdf = cdf_from_pdf(md.pdf, *marginal_support(md.pdf))
+        lams = [0.001, 0.1] if name == "double-well" else [0.001]
+        for lam in lams:
+            cfg = SamplerConfig(lam=lam, beta=1.0, d=20, n_chains=500,
+                                horizon=400.0, master_seed=42)
+            m = run_chains(cfg, t, n_workers=2)
+            ks_values[(name, lam)] = ks_statistic(m.samples[:, 0], cdf)
     small_ok = all(ks_values[(name, 0.001)] <= 0.08 for name in ALL_NAMES)
     order_ok = ks_values[("double-well", 0.001)] <= ks_values[("double-well", 0.1)]
     ok = small_ok and order_ok
@@ -196,23 +191,21 @@ def test_criterion_06_desk_scale_histograms():
 
 def test_criterion_07_moment_stability():
     results = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name in ALL_NAMES:
-            t = make_target(name, 5)
-            dc = derive_constants(t, beta=1.0, d=5)
-            lam = dc.lambda_1_max / 2.0
-            a_bar, kappa, c0 = float(dc.a_bar), float(dc.kappa), float(dc.c0)
-            # each checkpoint is its own n-step run; chain i reads the same
-            # stream in every run, so it passes through the same iterates
-            for n in (10, 100, 1000):
-                cfg = SamplerConfig(lam=lam, beta=1.0, d=5, n_chains=500,
-                                    horizon=lam * n, master_seed=101)
-                assert cfg.n_steps == n
-                sq = np.sum(run_chains(cfg, t).samples ** 2, axis=1)
-                se = float(np.std(sq, ddof=1) / math.sqrt(sq.size))
-                bound = c0 * (1.0 + 1.0 / (a_bar * kappa)) + 5.0 * se
-                results.append((name, n, float(np.mean(sq)), bound))
+    for name in ALL_NAMES:
+        t = make_target(name, 5)
+        dc = derive_constants(t, beta=1.0, d=5)
+        lam = dc.lambda_1_max / 2.0
+        a_bar, kappa, c0 = float(dc.a_bar), float(dc.kappa), float(dc.c0)
+        # each checkpoint is its own n-step run; chain i reads the same
+        # stream in every run, so it passes through the same iterates
+        for n in (10, 100, 1000):
+            cfg = SamplerConfig(lam=lam, beta=1.0, d=5, n_chains=500,
+                                horizon=lam * n, master_seed=101)
+            assert cfg.n_steps == n
+            sq = np.sum(run_chains(cfg, t).samples ** 2, axis=1)
+            se = float(np.std(sq, ddof=1) / math.sqrt(sq.size))
+            bound = c0 * (1.0 + 1.0 / (a_bar * kappa)) + 5.0 * se
+            results.append((name, n, float(np.mean(sq)), bound))
     ok = all(mean <= bound for _, _, mean, bound in results)
     worst = max(results, key=lambda r: r[2] / r[3])
     report(7, ok, f"mean |theta_n|^2 <= c0(1+1/(a_bar kappa)) + 5 SE at all "
@@ -223,17 +216,15 @@ def test_criterion_07_moment_stability():
 def test_criterion_08_taming_stability_contrast():
     t = make_target("double-well", 2)
     horizon = 0.5 * 10_000
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ula_cfg = SamplerConfig(lam=0.5, beta=1.0, d=2, n_chains=100, horizon=horizon,
-                                master_seed=7, algorithm="ula")
-        try:
-            ula_diverged = len(run_chains(ula_cfg, t).meta["diverged_chains"])
-        except DivergenceError as exc:
-            ula_diverged = len(exc.diverged)
-        mtula_cfg = SamplerConfig(lam=0.5, beta=1.0, d=2, n_chains=100, horizon=horizon,
-                                  master_seed=7, algorithm="mtula")
-        m = run_chains(mtula_cfg, t)
+    ula_cfg = SamplerConfig(lam=0.5, beta=1.0, d=2, n_chains=100, horizon=horizon,
+                            master_seed=7, algorithm="ula")
+    try:
+        ula_diverged = len(run_chains(ula_cfg, t).meta["diverged_chains"])
+    except DivergenceError as exc:
+        ula_diverged = len(exc.diverged)
+    mtula_cfg = SamplerConfig(lam=0.5, beta=1.0, d=2, n_chains=100, horizon=horizon,
+                              master_seed=7, algorithm="mtula")
+    m = run_chains(mtula_cfg, t)
     finite_ok = m.samples.shape[0] == 100 and not m.meta["diverged_chains"]
     second_moment = float(np.mean(np.sum(m.samples**2, axis=1)))
     ok = ula_diverged >= 1 and finite_ok and second_moment < 10.0

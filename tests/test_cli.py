@@ -1,5 +1,6 @@
 import errno
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,24 @@ class TestSample:
         ])
         assert code == 0
         assert "exceeds the theoretical maximum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,runs", [
+        ("sample --target gaussian --dim 2 --lambda 0.1 --chains 2 --horizon 0.5", 1),
+        ("rate --target gaussian --dim 2 --chains 2 --horizon 0.5 --grid 0.1,0.05", 2),
+    ])
+    def test_chain_run_warning_reaches_caller(self, tmp_path, monkeypatch, argv, runs):
+        # a warning raised inside a command's chain run is not swallowed
+        run_chains = sampler.run_chains
+
+        def warns(*args, **kwargs):
+            warnings.warn("overflow in the kernel", RuntimeWarning)
+            return run_chains(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, "run_chains", warns)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv.split() + ["--out", str(tmp_path / "o.csv")]) == 0
+        assert [str(w.message) for w in caught] == ["overflow in the kernel"] * runs
 
     def test_universal_divergence_exit_3(self, tmp_path):
         code = run([
@@ -223,6 +242,22 @@ class TestHistogram:
                         "--out", str(tmp_path / "h.csv"), "--range", lo, hi]) == 2
             assert "--range requires lo < hi" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("body,line,why", [
+        ("chain,x1,x2\n0,0.1\n1,0.2\n", 2, "2 fields, the header has 3"),
+        ("chain,x1\n0,0.5\n1,0.1,0.2\n", 3, "3 fields, the header has 2"),
+        ("chain,x1,x2\n0,0.1,0.3\n1,nan,0.2\n", 3, "non-finite coordinate"),
+        ("chain,x1\n0,-inf\n", 2, "non-finite coordinate"),
+    ])
+    def test_malformed_rows_exit_2(self, tmp_path, capsys, body, line, why):
+        # a short row was read as a sample of lower dimension, and a NaN
+        # failed only when the summary was serialised
+        src, out = tmp_path / "s.csv", tmp_path / "h.csv"
+        src.write_text(body)
+        assert run(["histogram", "--in", str(src), "--out", str(out),
+                    "--target", "gaussian"]) == 2
+        assert f"cannot read samples from {src}: {src} line {line}: {why}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
     @pytest.mark.parametrize("sidecar", ["list", "directory", "malformed"])
     def test_bad_metadata_file_exit_2(self, tmp_path, capsys, sidecar):
@@ -434,7 +469,8 @@ class TestConstants:
         assert run(["constants", "--target", name, "--dim", "3", "--beta", "2"]) == 0
         v2 = json.loads(capsys.readouterr().out)["constants"]["v2_integral"]
         second_moment = potentials.make_target(name, 3).second_moment(2.0)
-        assert (v2["value"], v2["stderr"]) == (1.0 + second_moment, 0.0)
+        assert v2 == {"value": 1.0 + second_moment, "representable": True,
+                      "formula_ref": "integral of (1+|theta|^2) under the target law"}
         for flag in (["--v2-method", "mc"], ["--v2-draws", "500"], ["--seed", "3"]):
             assert exit_code(["constants", "--target", name] + flag) == 2, flag
             assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
@@ -541,7 +577,7 @@ class TestOutOfDomainRegressions:
     def test_non_finite_payload_exit_2(self, tmp_path, monkeypatch, capsys):
         # a NaN in a payload is refused before the file is opened, not
         # written as a bare NaN token; nor is a manifest naming that file
-        monkeypatch.setattr(sampler, "estimate_v2_integral", lambda *a, **k: (11.0, float("nan")))
+        monkeypatch.setattr(sampler, "estimate_v2_integral", lambda *a, **k: float("nan"))
         out = tmp_path / "c.json"
         argv = ["constants", "--target", "gaussian", "--dim", "2"]
         assert exit_code(argv + ["--out", str(out)]) == 2

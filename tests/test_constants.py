@@ -182,6 +182,11 @@ class TestSpotValues:
         dw = derive_constants(make_double_well(3), beta=1.0, d=3, v2_integral=4.0)
         assert dw.C1 is not None and dw.C1 < mp.inf
 
+    def test_d_must_match_target(self):
+        # another d gave that dimension's moments beside this target's |H(0)|
+        with pytest.raises(ValueError, match=r"d=3 does not match target\.d=10"):
+            derive_constants(make_double_well(10), 1.0, 3)
+
 
 def quad_log_contraction_integral(beta, L_bar, R1_bar):
     # the contraction integral by adaptive double-precision quadrature,

@@ -132,7 +132,7 @@ class TestSlicedWasserstein:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            sliced_wasserstein(np.zeros((3, 2)), np.zeros((4, 2)))
+            sliced_wasserstein(np.zeros((3, 2)), np.zeros((4, 2)), stream=RngStream(0, 0))
 
 
 class TestKS:
