@@ -16,9 +16,11 @@ single chain is a one-row block of the same kernel.
 
 from __future__ import annotations
 
-import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import mmap
+import os
+import pickle
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,11 +150,44 @@ def _advance(parts, r, tamed, lam, theta, xi, sq, f, work) -> None:
 # spans many blocks.
 _NOISE_BUDGET = 8_000_000
 _STAGING = 2**18  # 2 MB
-# draws per RngStream.normal call below which the helper thread costs more
-# in handing the interpreter lock back and forth than it saves: on a 2-core
-# Xeon it made d=1 x 10,000 chains (373 draws a call) 45% slower and
-# d=1 x 5,000 (747) 10% faster; at d=2 x 8,000 (466) neither side won clearly
-_OVERLAP_DRAWS = 512
+
+
+def _send(pipe, message) -> None:
+    pickle.dump(message, pipe)
+    pipe.flush()
+
+
+def _balance(s: int, m: int, t_step: float, t_own: float, t_help: float, cost: list) -> int:
+    """The split of the next block's chains: [0, s') filled by the stepping
+    process, [s', m) by the helper, so that stepping plus the stepping
+    process's fill takes as long as the helper's fill.  ``t_own`` and
+    ``t_help`` are the two fills' seconds at split ``s``; ``cost`` holds
+    each side's last measured seconds per chain, and is updated."""
+    if s > 0:
+        cost[0] = t_own / s
+    if s < m:
+        cost[1] = t_help / (m - s)
+    own, helper = cost[0] or cost[1], cost[1] or cost[0]
+    if own + helper <= 0.0:
+        return s
+    return min(m, max(0, round((helper * m - t_step) / (own + helper))))
+
+
+def _serve(fill, streams, s: int, m: int, requests, replies) -> None:
+    """The helper's loop.  A request (k, s', states) moves the split to
+    s': the chains [s', s) come over with ``states``, and the states of
+    the chains [s, s') go back at once.  The helper then fills chains
+    [s', m) of block k and replies with the seconds that took."""
+    while True:
+        k, new, states = pickle.load(requests)
+        if new > s:
+            _send(replies, [streams[j].state for j in range(s, new)])
+        for j, state in zip(range(new, s), states):
+            streams[j].state = state
+        s = new
+        start = time.perf_counter()
+        fill(k, s, m)
+        _send(replies, time.perf_counter() - start)
 
 
 def _run_chain_block(
@@ -170,89 +205,142 @@ def _run_chain_block(
     divergence.
 
     The chains' streams are seeded as one ``RngStream.family``.  Noise is
-    drawn per chain in blocks of steps, into two buffers: while this
-    thread steps through one block, a helper thread fills the next, in
-    chunks of chains taken from a shared counter; when the steps are done
-    this thread takes the chunks left, then waits for the helper.  A
-    chunk is drawn chain-major into a staging array, scaled in place and
-    copied into the step-major buffer as records of d doubles.  When a
-    chain's block would hold fewer than ``_OVERLAP_DRAWS`` draws, this
-    thread fills every block itself, into one buffer of twice the size.
-    Chain j's draws land at fixed positions whichever thread makes them,
-    and its value sequence is that of stepping it alone, so neither the
-    threads' scheduling nor the partition of chains across workers can
-    change any output.
+    drawn per chain in blocks of steps, into two buffers in one shared
+    mapping.  A forked helper process fills chains [s, m) of the next
+    block while this process steps through the current one, then fills
+    chains [0, s) itself.  After each block the split s moves so that the
+    two processes finish together, and each chain that changes owner
+    moves with its generator's exact state, sent over a pipe.  A run of
+    one block has no stepping to overlap a fill with, and forking would
+    cost more than splitting its fill saves, so it forks no helper.  Chains are
+    drawn in chunks into a staging array, scaled in place and copied into
+    the step-major buffer as records of d doubles.  Chain j's draws land
+    at fixed positions whichever process makes them, and its value
+    sequence is that of stepping it alone, so neither the split nor the
+    partition of chains across workers can change any output.  If the
+    helper dies, the run raises RuntimeError.
     """
     indices = list(indices)
     m = len(indices)
     d = theta0.size
     streams = RngStream.family(master_seed, indices)
+    scale = math.sqrt(2.0 * lam / beta)
+    # two buffers of half the budget, with a staging array; a chain's
+    # block fits one staging array when the budget allows
+    block = max(1, min(n_steps, (_NOISE_BUDGET // 2 - _STAGING) // (m * d), _STAGING // d))
+    chunk = max(1, min(m, _STAGING // (block * d)))
+    n_blocks = -(-n_steps // block)
+    n_buffers = min(2, n_blocks)
+    noise = np.frombuffer(mmap.mmap(-1, n_buffers * block * m * d * 8), dtype=float)
+    noise = noise.reshape(n_buffers, block, m, d)
+    staging = np.empty(chunk * block * d)  # each process writes its own copy
+    row = np.dtype((np.void, 8 * d))  # one chain-step's d doubles, copied as one record
     theta = np.tile(theta0, (m, 1))
     active = np.ones(m, dtype=bool)
     diverged = []
-    scale = math.sqrt(2.0 * lam / beta)
     tamed = algorithm != "ula"
-
-    def block_for(share):
-        # steps whose noise, with one staging array, fits ``share`` doubles;
-        # a chain's block fits one staging array when the budget allows
-        return max(1, min(n_steps, (share - _STAGING) // (m * d), _STAGING // d))
-
-    # with the helper, two buffers of half the budget; without, one of all
-    block = block_for(_NOISE_BUDGET // 2)
-    overlap = block * d >= _OVERLAP_DRAWS
-    if not overlap:
-        block = block_for(_NOISE_BUDGET)
-    chunk = max(1, min(m, _STAGING // (block * d)))
-    n_blocks = -(-n_steps // block)
-    noise = [np.empty((block, m, d)) for _ in range(min(1 + overlap, n_blocks))]
-    staging = [np.empty(chunk * block * d) for _ in range(1 + overlap)]  # this thread's, the helper's
     sq, f, work = np.empty(m), np.empty(m), np.empty((m, d))
-    row = np.dtype((np.void, 8 * d))  # one chain-step's d doubles, copied as one record
 
-    def fill(k, stage, next_chunk):
-        # draw chunks of block k's noise, scaled, until none is left
+    def fill(k, j0, j1):
+        # draw chains [j0, j1) of block k's noise, scaled, chunk by chunk
         b = min(block, n_steps - k * block)
-        out = noise[k % len(noise)]
-        while (j0 := next_chunk() * chunk) < m:
-            j1 = min(m, j0 + chunk)
-            draws = stage[:(j1 - j0) * b * d].reshape(j1 - j0, b, d)
-            for j in range(j0, j1):
-                streams[j].normal((b, d), out=draws[j - j0])
+        out = noise[k % n_buffers]
+        for c0 in range(j0, j1, chunk):
+            c1 = min(j1, c0 + chunk)
+            draws = staging[:(c1 - c0) * b * d].reshape(c1 - c0, b, d)
+            for j in range(c0, c1):
+                streams[j].normal((b, d), out=draws[j - c0])
             draws *= scale
-            out[:b, j0:j1].view(row)[...] = draws.transpose(1, 0, 2).view(row)
+            out[:b, c0:c1].view(row)[...] = draws.transpose(1, 0, 2).view(row)
 
-    def start(k):
-        next_chunk = itertools.count().__next__
-        return (helper.submit(fill, k, staging[1], next_chunk) if overlap else None), next_chunk
+    def advance_block(k):
+        # step through block k; false once every chain has diverged
+        xi = noise[k % n_buffers]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(min(block, n_steps - k * block)):
+                _advance(target.drift_parts, target.r, tamed, lam, theta, xi[t], sq, f, work)
+                if np.isfinite(theta.sum()):
+                    continue
+                finite = np.isfinite(theta).all(axis=1)
+                for j in np.nonzero(active & ~finite)[0]:
+                    diverged.append((indices[j], k * block + t + 1))
+                active[~finite] = False
+                if not active.any():
+                    return False
+                # lost rows restart from theta0 and step on unread; rows
+                # are computed apart, so the survivors keep their bits
+                theta[~finite] = theta0
+        return True
 
-    step = 0
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = start(0)
-        for k in range(n_blocks):
-            filling, next_chunk = pending
-            fill(k, staging[0], next_chunk)
-            if overlap:
-                filling.result()
-            if k + 1 < n_blocks:
-                pending = start(k + 1)
-            xi = noise[k % len(noise)]
-            for t in range(min(block, n_steps - step)):
-                step += 1
-                with np.errstate(over="ignore", invalid="ignore"):
-                    _advance(target.drift_parts, target.r, tamed, lam, theta, xi[t], sq, f, work)
-                    lost = not np.isfinite(theta.sum())
-                if lost:
-                    finite = np.isfinite(theta).all(axis=1)
-                    for j in np.nonzero(active & ~finite)[0]:
-                        diverged.append((indices[j], step))
-                    active &= finite
-                    if not active.any():
-                        return theta, active, diverged
-                    # lost rows restart from theta0 and step on unread; rows
-                    # are computed apart, so the survivors keep their bits
-                    theta[~finite] = theta0
-    return theta, active, diverged
+    if n_blocks == 1:  # no next block to fill while this one steps: no helper
+        fill(0, 0, m)
+        advance_block(0)
+        return theta, active, diverged
+
+    s = m // 2
+    requests_r, requests_w = os.pipe()
+    replies_r, replies_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (requests_r, requests_w, replies_r, replies_w):
+            os.close(fd)
+        raise
+    if pid == 0:  # the helper: never returns to the caller
+        status = 1
+        try:
+            os.close(requests_w)
+            os.close(replies_r)
+            with open(requests_r, "rb") as requests, open(replies_w, "wb") as replies:
+                _serve(fill, streams, s, m, requests, replies)
+        except (EOFError, BrokenPipeError):  # the stepping process is done
+            status = 0
+        except Exception:
+            import traceback
+
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+
+    os.close(requests_r)
+    os.close(replies_w)
+
+    def request(k, new):
+        # hand the helper chains [new, m) of block k, moving the split
+        nonlocal s
+        _send(requests, (k, new, [streams[j].state for j in range(new, s)]))
+        if new > s:
+            for j, state in zip(range(s, new), pickle.load(replies)):
+                streams[j].state = state
+        s = new
+
+    def own_fill(k):
+        # this process's share of block k, then the helper's time for its own
+        start = time.perf_counter()
+        fill(k, 0, s)
+        return time.perf_counter() - start, pickle.load(replies)
+
+    try:
+        with open(requests_w, "wb") as requests, open(replies_r, "rb") as replies:
+            cost = [0.0, 0.0]
+            request(0, s)
+            t_step, (t_own, t_help) = 0.0, own_fill(0)
+            for k in range(n_blocks - 1):
+                request(k + 1, _balance(s, m, t_step, t_own, t_help, cost))
+                start = time.perf_counter()
+                if not advance_block(k):
+                    return theta, active, diverged
+                t_step = time.perf_counter() - start
+                t_own, t_help = own_fill(k + 1)
+            requests.close()  # the helper exits while the last block steps
+            advance_block(n_blocks - 1)
+            return theta, active, diverged
+    except (EOFError, BrokenPipeError):  # the helper is gone
+        pass
+    finally:
+        _, status = os.waitpid(pid, 0)
+    raise RuntimeError(f"the noise-filling helper process {pid} ended with exit status "
+                       f"{os.waitstatus_to_exitcode(status)}")
 
 
 def run_chains(
@@ -285,6 +373,8 @@ def run_chains(
     if n_workers <= 1 or config.n_chains == 1:
         blocks = [_run_chain_block(*args, indices)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         parts = [p for p in np.array_split(indices, n_workers) if p.size]
         with ProcessPoolExecutor(max_workers=len(parts)) as pool:
             futures = [pool.submit(_run_chain_block, *args, part) for part in parts]
@@ -383,8 +473,8 @@ def save_measure_csv(measure: EmpiricalMeasure, path) -> None:
 
 def load_measure_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a samples CSV; returns (chain_ids, samples).  A row whose field
-    count is not the header's, or with a non-finite coordinate, raises
-    ValueError naming its line."""
+    count is not the header's, with a field that does not parse, or with a
+    non-finite coordinate, raises ValueError naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("chain,"):
@@ -393,11 +483,16 @@ def load_measure_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if not rows:
         raise ValueError(f"{path}: no sample rows")
     width = header.count(",") + 1
+    chain_ids, samples = [], []
     for n, r in rows:
         if len(r) != width:
             raise ValueError(f"{path} line {n}: {len(r)} fields, the header has {width}")
-    chain_ids = np.array([int(r[0]) for _, r in rows])
-    samples = np.array([[float(v) for v in r[1:]] for _, r in rows])
+        try:
+            chain_ids.append(int(r[0]))
+            samples.append([float(v) for v in r[1:]])
+        except ValueError as exc:
+            raise ValueError(f"{path} line {n}: {exc}") from None
+    chain_ids, samples = np.array(chain_ids), np.array(samples)
     bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
     if bad.size:
         raise ValueError(f"{path} line {rows[bad[0]][0]}: non-finite coordinate")

@@ -248,6 +248,8 @@ class TestHistogram:
         ("chain,x1\n0,0.5\n1,0.1,0.2\n", 3, "3 fields, the header has 2"),
         ("chain,x1,x2\n0,0.1,0.3\n1,nan,0.2\n", 3, "non-finite coordinate"),
         ("chain,x1\n0,-inf\n", 2, "non-finite coordinate"),
+        ("chain,x1\n0,0.5\n1,abc\n", 3, "could not convert string to float: 'abc'"),
+        ("chain,x1\n0,0.5\nx,0.1\n", 3, "invalid literal for int() with base 10: 'x'"),
     ])
     def test_malformed_rows_exit_2(self, tmp_path, capsys, body, line, why):
         # a short row was read as a sample of lower dimension, and a NaN

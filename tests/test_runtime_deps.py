@@ -54,3 +54,14 @@ def test_import_loads_no_numpy_random(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "tamedlmc.cli" in proc.stdout
     assert "'numpy.random'" not in proc.stdout
+
+
+def test_import_loads_no_process_pool(tmp_path):
+    # concurrent.futures.process and multiprocessing.connection cost about
+    # 30 ms of import; only a run with more than one worker needs them
+    proc = run_python(["-c", "import sys, tamedlmc.cli; print(sorted(sys.modules))"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "tamedlmc.cli" in proc.stdout
+    loaded = [m for m in proc.stdout.strip("[]\n").replace("'", "").split(", ")
+              if m.split(".")[0] in ("concurrent", "multiprocessing")]
+    assert loaded == []

@@ -1,8 +1,10 @@
 import math
-import sys
+import os
+import signal
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -311,49 +313,111 @@ class TestRunChains:
             run_chains(cfg, make_gaussian(3))
 
 
-class TestNoiseBlocks:
-    """The kernel fills the next block of noise on a helper thread while it
-    steps the current one; with the noise budget cut, a short run spans
-    many blocks."""
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # 7 chains at d = 3 (or 9 at d = 2, 7 at d = 1) step in blocks of 5
+    # (6, 15) steps drawn in chunks of 2 chains, so the last block is
+    # short; forked processes inherit the cut.  Returns the block lengths
+    # of 23 steps at d = 3 and d = 1.
+    monkeypatch.setattr(sampler, "_NOISE_BUDGET", 280)
+    monkeypatch.setattr(sampler, "_STAGING", 30)
+    return {3: [5, 5, 5, 5, 3], 1: [15, 8]}
 
-    @pytest.fixture(params=[True, False], ids=["helper", "alone"])
-    def small_blocks(self, request, monkeypatch):
-        # with the helper thread, 7 chains at d = 3 (or 9 at d = 2, 7 at
-        # d = 1) step in blocks of 5 (6, 15) steps filled in chunks of 2
-        # chains, so the last block is short and the last chunk a single
-        # chain; alone, in one buffer of blocks of 10 (13, 23) steps, in
-        # chunks of 1 chain; forked workers inherit the cut.  Returns the
-        # block lengths of 23 steps at d = 3 and d = 1.
-        monkeypatch.setattr(sampler, "_NOISE_BUDGET", 280)
-        monkeypatch.setattr(sampler, "_STAGING", 30)
-        monkeypatch.setattr(sampler, "_OVERLAP_DRAWS", 1 if request.param else 10**6)
-        if request.param:
-            return {3: [5, 5, 5, 5, 3], 1: [15, 8]}
-        return {3: [10, 10, 3], 1: [23]}
+
+@dataclass
+class FailingDrift:
+    """Drift parts that raise at call ``at``; pickled to chain workers by
+    reference, like a target's own."""
+
+    parts: Callable
+    at: int
+    calls: int = 0
+
+    def __call__(self, theta, sq):
+        self.calls += 1
+        if self.calls == self.at:
+            raise ArithmeticError(f"drift failed at call {self.at}")
+        return self.parts(theta, sq)
+
+
+class TestNoiseBlocks:
+    """The kernel steps through one block of noise while a forked helper
+    process fills its share of the next; with the noise budget cut, a
+    short run spans many blocks."""
+
+    @staticmethod
+    def log_draws(monkeypatch, path):
+        # every process appends (pid, chain, steps) of each draw to ``path``,
+        # in the order the draws are made; returns a reader of the log
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        draw = RngStream.normal
+
+        def spy(stream, shape, out=None):
+            os.write(fd, f"{os.getpid()} {stream.stream_index} {shape[0]}\n".encode())
+            return draw(stream, shape, out)
+
+        monkeypatch.setattr(RngStream, "normal", spy)
+
+        def read():
+            os.close(fd)
+            draws = {}
+            for line in path.read_text().splitlines():
+                pid, chain, steps = map(int, line.split())
+                draws.setdefault(chain, []).append((pid, steps))
+            return draws
+
+        return read
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize("name, d", [pytest.param(name, d, id=name + ("-d1" if d == 1 else ""))
                                          for d in (3, 1)
                                          for name in ("gaussian", "mixture", "double-well")])
-    def test_many_blocks_match_single_chain_stepping(self, small_blocks, monkeypatch,
+    def test_many_blocks_match_single_chain_stepping(self, small_blocks, monkeypatch, tmp_path,
                                                      name, d, n_workers):
         t = make_target(name, d)
         cfg = SamplerConfig(lam=0.05, beta=1.5, d=d, n_chains=7, horizon=23 * 0.05,
                             master_seed=8, theta0=np.array([1.5, -0.5, 0.25])[:d])
         assert cfg.n_steps == 23
-        blocks = {}
-        draw = RngStream.normal
-
-        def spy(stream, shape, out=None):
-            blocks.setdefault(stream.stream_index, []).append(shape[0])
-            return draw(stream, shape, out)
-
-        monkeypatch.setattr(RngStream, "normal", spy)
+        read = self.log_draws(monkeypatch, tmp_path / "draws.log")
         m = run_chains(cfg, t, n_workers=n_workers)
+        blocks = {i: [steps for _, steps in draws] for i, draws in read().items()}
         if n_workers == 1:
             assert blocks == {i: small_blocks[d] for i in range(7)}
+        assert sorted(blocks) == list(range(7)) and all(sum(b) == 23 for b in blocks.values())
         for i in range(7):
             assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["gaussian", "mixture", "double-well"]),
+        d=st.integers(1, 4),
+        n_chains=st.integers(1, 9),
+        n_steps=st.integers(1, 30),
+        n_workers=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_chain_changing_process_every_block(self, tmp_path_factory, name, d,
+                                                      n_chains, n_steps, n_workers, seed):
+        # the split swings between 0 and m after every block, so each chain
+        # changes process every block and moves with its generator's state;
+        # three workers with their helpers are more processes than cores
+        t = make_target(name, d)
+        cfg = SamplerConfig(lam=0.05, beta=1.5, d=d, n_chains=n_chains,
+                            horizon=n_steps * 0.05 * (1 - 1e-9), master_seed=seed,
+                            theta0=np.linspace(-1.0, 1.0, d))
+        assert cfg.n_steps == n_steps
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "_NOISE_BUDGET", 280)
+            mp.setattr(sampler, "_STAGING", 30)
+            mp.setattr(sampler, "_balance", lambda s, m, *times: 0 if s else m)
+            read = self.log_draws(mp, tmp_path_factory.mktemp("draws") / "draws.log")
+            m = run_chains(cfg, t, n_workers=n_workers)
+            draws = read()
+        for i in range(n_chains):
+            assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
+            # from the third block on, every chain has drawn in both processes
+            if len(draws[i]) >= 3:
+                assert len({pid for pid, _ in draws[i]}) == 2, draws[i]
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_survivors_of_a_divergence_match(self, small_blocks, n_workers):
@@ -369,27 +433,101 @@ class TestNoiseBlocks:
             assert np.array_equal(chain_alone(t, cfg, i), m.samples[row]), i
         assert all(not np.all(np.isfinite(chain_alone(t, cfg, i))) for i in lost)
 
-    def test_lock_handed_over_every_microsecond(self, small_blocks):
-        # three worker processes (more than this host's cores), each with
-        # its helper, switching threads as often as the interpreter allows,
-        # still put every chain's draws at its own places
-        t = make_double_well(3)
-        cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=21, horizon=23 * 0.05, master_seed=4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            m = run_chains(cfg, t, n_workers=3)
-        finally:
-            sys.setswitchinterval(interval)
-        for i in range(21):
+
+class TestHelperProcess:
+    """The kernel's helper is a forked process, reaped on every way out of
+    a run; a helper that dies fails the run instead of hanging it."""
+
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        # pids this process forks (the helper with one worker)
+        pids = []
+        fork = os.fork
+
+        def spy():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", spy)
+        return pids
+
+    @pytest.fixture
+    def deadline(self):
+        # a run that hangs fails the test after 60 s
+        def expire(signum, frame):
+            raise TimeoutError("the run did not end")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def assert_all_reaped(pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_normal_return(self, small_blocks, forked, deadline, n_workers):
+        cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
+        threads = threading.active_count()
+        run_chains(cfg, make_gaussian(3), n_workers=n_workers)
+        assert forked and threading.active_count() == threads
+        self.assert_all_reaped(forked)
+
+    def test_one_block_forks_no_helper(self, forked):
+        # 20 steps of 7 chains fit one block: no stepping to overlap a fill with
+        t = make_gaussian(3)
+        cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
+        m = run_chains(cfg, t)
+        assert forked == []
+        for i in range(7):
             assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_no_thread_outlives_the_run(self, small_blocks, n_workers):
+    def test_all_chains_diverged(self, small_blocks, forked, deadline, n_workers):
+        cfg = SamplerConfig(lam=0.5, beta=1.0, d=2, n_chains=4, horizon=10.0, master_seed=0,
+                            theta0=np.array([1e200, 0.0]), algorithm="ula")
+        with pytest.raises(DivergenceError):
+            run_chains(cfg, make_double_well(2), n_workers=n_workers)
+        assert forked
+        self.assert_all_reaped(forked)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_drift_raising_mid_run(self, small_blocks, forked, deadline, n_workers):
+        t = make_double_well(3)
+        t = replace(t, drift_parts=FailingDrift(t.drift_parts, at=12))
         cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
-        before = threading.active_count()
-        run_chains(cfg, make_gaussian(3), n_workers=n_workers)
-        assert threading.active_count() == before
+        with pytest.raises(ArithmeticError, match="call 12"):
+            run_chains(cfg, t, n_workers=n_workers)
+        assert forked
+        self.assert_all_reaped(forked)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_killed_helper_fails_the_run(self, small_blocks, forked, deadline, monkeypatch,
+                                         n_workers):
+        # at the third step, each stepping process kills its helper (the
+        # last process it forked); blocks of 5 steps are still to be filled
+        steps = []
+        advance = sampler._advance
+
+        def kill_at_third_step(*args):
+            steps.append(1)
+            if len(steps) == 3:
+                os.kill(forked[-1], signal.SIGKILL)
+            advance(*args)
+
+        monkeypatch.setattr(sampler, "_advance", kill_at_third_step)
+        cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
+        with pytest.raises(RuntimeError, match="exit status -9"):
+            run_chains(cfg, make_gaussian(3), n_workers=n_workers)
+        self.assert_all_reaped(forked)
 
 
 class TestGaussianClosedForm:
