@@ -345,6 +345,18 @@ class TestNoiseBlocks:
     process fills its share of the next; with the noise budget cut, a
     short run spans many blocks."""
 
+    @pytest.fixture(params=["timed", "stepper-only", "helper-only"])
+    def split(self, request, monkeypatch):
+        # after the first block the split is balanced by timing, or held at
+        # m (the stepping process fills every chain, the helper none) or
+        # at 0 (the helper fills every chain); returns which process, by
+        # whether it is the stepping one, draws from the second block on
+        forced = {"stepper-only": lambda s, m, *times: m,
+                  "helper-only": lambda s, m, *times: 0}.get(request.param)
+        if forced:
+            monkeypatch.setattr(sampler, "_balance", forced)
+        return {"stepper-only": True, "helper-only": False}.get(request.param)
+
     @staticmethod
     def log_draws(monkeypatch, path):
         # every process appends (pid, chain, steps) of each draw to ``path``,
@@ -372,17 +384,21 @@ class TestNoiseBlocks:
     @pytest.mark.parametrize("name, d", [pytest.param(name, d, id=name + ("-d1" if d == 1 else ""))
                                          for d in (3, 1)
                                          for name in ("gaussian", "mixture", "double-well")])
-    def test_many_blocks_match_single_chain_stepping(self, small_blocks, monkeypatch, tmp_path,
-                                                     name, d, n_workers):
+    def test_many_blocks_match_single_chain_stepping(self, small_blocks, split, monkeypatch,
+                                                     tmp_path, name, d, n_workers):
         t = make_target(name, d)
         cfg = SamplerConfig(lam=0.05, beta=1.5, d=d, n_chains=7, horizon=23 * 0.05,
                             master_seed=8, theta0=np.array([1.5, -0.5, 0.25])[:d])
         assert cfg.n_steps == 23
         read = self.log_draws(monkeypatch, tmp_path / "draws.log")
         m = run_chains(cfg, t, n_workers=n_workers)
-        blocks = {i: [steps for _, steps in draws] for i, draws in read().items()}
+        draws = read()
+        blocks = {i: [steps for _, steps in chain] for i, chain in draws.items()}
         if n_workers == 1:
             assert blocks == {i: small_blocks[d] for i in range(7)}
+            if split is not None:
+                assert all((pid == os.getpid()) == split
+                           for chain in draws.values() for pid, _ in chain[1:]), draws
         assert sorted(blocks) == list(range(7)) and all(sum(b) == 23 for b in blocks.values())
         for i in range(7):
             assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
@@ -420,7 +436,7 @@ class TestNoiseBlocks:
                 assert len({pid for pid, _ in draws[i]}) == 2, draws[i]
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_survivors_of_a_divergence_match(self, small_blocks, n_workers):
+    def test_survivors_of_a_divergence_match(self, small_blocks, split, n_workers):
         # untamed steps at lam = 0.4 lose 7 of 9 chains between steps 9 and 20
         t = make_double_well(2)
         cfg = SamplerConfig(lam=0.4, beta=1.0, d=2, n_chains=9, horizon=23 * 0.4,
