@@ -6,6 +6,8 @@ assumption certificates, the full closed-form convergence-constant
 pipeline, and Wasserstein/KS/rate diagnostics.
 """
 
+__version__ = "0.1.0"  # kept equal to pyproject.toml's [project] version
+
 from .numerics import (
     QuadratureError,
     QuadratureResult,
@@ -38,16 +40,6 @@ from .sampler import (
     run_chains,
     tamed_gradient,
 )
-from .constants import (
-    DerivedConstants,
-    certified_moduli,
-    certify_derived_constants,
-    derive_constants,
-    derive_contraction_constants,
-    derive_drift_constants,
-    derive_moment_constants,
-    derive_theorem_constants,
-)
 from .metrics import (
     Histogram,
     RateFit,
@@ -59,4 +51,17 @@ from .metrics import (
     wasserstein_1d,
 )
 
-__version__ = "0.1.0"
+# the constants pipeline imports mpmath, which only some commands need, so
+# these names import it on first use
+_CONSTANTS = frozenset((
+    "DerivedConstants", "certified_moduli", "certify_derived_constants", "derive_constants",
+    "derive_contraction_constants", "derive_drift_constants", "derive_moment_constants",
+    "derive_theorem_constants",
+))
+
+
+def __getattr__(name):
+    if name in _CONSTANTS:
+        from . import constants
+        return getattr(constants, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,8 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import constants as constants_mod
-from . import metrics, potentials, sampler
+# the constants pipeline, and with it mpmath (about 30 ms of import), is
+# imported only where it is used: sample, rate's default reference step,
+# constants and check
+from . import __version__, metrics, potentials, sampler
 from .numerics import RngStream
 
 REQUIRED = object()  # the default of an option a command cannot run without
@@ -141,20 +143,15 @@ class DivergenceExit(Exception):
 @functools.cache
 def _version_stamp() -> str:
     try:
-        from importlib.metadata import version
-        v = version("tamedlmc")
-    except Exception:
-        v = "unknown"
-    try:
         rev = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
             capture_output=True, text=True, timeout=5, cwd=Path(__file__).parent,
         )
         if rev.returncode == 0:
-            return f"{v}+git.{rev.stdout.strip()}"
+            return f"{__version__}+git.{rev.stdout.strip()}"
     except Exception:
         pass
-    return v
+    return __version__
 
 
 def _parse_settings(args, settings: dict, source: str) -> dict:
@@ -294,7 +291,8 @@ def _chains(where: str, run, *args, every=True, **kwargs) -> sampler.EmpiricalMe
 def cmd_sample(opts, explicit) -> tuple:
     lam, dim = opts["lambda"], opts["dim"]
     target = potentials.make_target(opts["target"], dim)
-    lam_max = constants_mod.certified_moduli(target).lambda_max
+    from . import constants
+    lam_max = constants.certified_moduli(target).lambda_max
     if lam > lam_max:
         print(f"warning: lambda={lam:g} exceeds the theoretical maximum step size "
               f"{lam_max:g} for target {target.name!r}", file=sys.stderr)
@@ -401,7 +399,8 @@ def cmd_rate(opts, explicit) -> tuple:
                    for lam in grid]
         if target.exact_draw is None:
             if opts["ref_fine_step"] is None:
-                opts["ref_fine_step"] = constants_mod.certified_moduli(target).lambda_max / 10.0
+                from . import constants
+                opts["ref_fine_step"] = constants.certified_moduli(target).lambda_max / 10.0
             if opts["ref_horizon"] is None:
                 opts["ref_horizon"] = min(opts["horizon"], 50.0)
         b = _chains(
@@ -437,7 +436,8 @@ def cmd_constants(opts, explicit) -> tuple:
 
     # the target's closed form: every built-in target has one
     v2 = sampler.estimate_v2_integral(target, beta)
-    dc = constants_mod.derive_constants(target, beta, dim, p_list=opts["p_list"], v2_integral=v2)
+    from . import constants
+    dc = constants.derive_constants(target, beta, dim, p_list=opts["p_list"], v2_integral=v2)
     report = dc.to_report()
     return 0, [report], _json(report) if opts["out"] is None else f"wrote {Path(opts['out'])}"
 
@@ -454,9 +454,10 @@ def cmd_check(opts, explicit) -> tuple:
         potentials.check_assumption_3(target, points, radius, RngStream(seed, 1)),
         potentials.check_assumption_4(target, points, radius, RngStream(seed, 2)),
     ]
-    moduli = constants_mod.certified_moduli(target)
+    from . import constants
+    moduli = constants.certified_moduli(target)
     reports.extend(
-        constants_mod.certify_derived_constants(target, moduli, points, radius, RngStream(seed, 3))
+        constants.certify_derived_constants(target, moduli, points, radius, RngStream(seed, 3))
     )
 
     all_ok = all(r.ok for r in reports)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tamedlmc
 from tamedlmc import cli, constants, potentials, sampler
 from tamedlmc.cli import main
 from tamedlmc.constants import certified_moduli
@@ -613,6 +614,20 @@ class TestManifest:
             manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
             versions.append(manifest["version"])
         assert versions[0] == versions[1]
+
+    def test_version_is_the_package_version(self, tmp_path):
+        # read from the package, not from installed metadata, which a
+        # source checkout does not have
+        out = tmp_path / "v.json"
+        assert run(["constants", "--target", "gaussian", "--dim", "2", "--out", str(out)]) == 0
+        version = json.loads((tmp_path / "v.json.manifest.json").read_text())["version"]
+        assert version == tamedlmc.__version__ or version.startswith(tamedlmc.__version__ + "+git.")
+
+    def test_package_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == tamedlmc.__version__
 
 
 # A small run of each command, and the files it writes: --out first, the

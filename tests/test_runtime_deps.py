@@ -1,6 +1,8 @@
 """The package runs on numpy, mpmath and the standard library alone: scipy
-is a test and benchmark oracle, never imported by ``tamedlmc``."""
+is a test and benchmark oracle, never imported by ``tamedlmc``.  A command
+loads the constants pipeline, and so mpmath, only if it uses it."""
 
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +18,13 @@ WITHOUT_SCIPY = (
     "import sys; sys.modules['scipy'] = None; "
     "from tamedlmc.cli import main; sys.exit(main(sys.argv[1:]))"
 )
+# the same for mpmath, which the commands that derive no constant do not
+# need, and importlib.metadata, which no command needs
+WITHOUT_MPMATH = (
+    "import sys; sys.modules['mpmath'] = None; sys.modules['importlib.metadata'] = None; "
+    "from tamedlmc.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+UNUSED_AT_START = ("mpmath", "tamedlmc.constants", "importlib.metadata")
 
 
 def run_python(args, cwd):
@@ -65,3 +74,48 @@ def test_import_loads_no_process_pool(tmp_path):
     loaded = [m for m in proc.stdout.strip("[]\n").replace("'", "").split(", ")
               if m.split(".")[0] in ("concurrent", "multiprocessing")]
     assert loaded == []
+
+
+def test_import_loads_no_constants_pipeline(tmp_path):
+    # mpmath alone costs about 30 ms of import, which histogram and most
+    # rate runs never use
+    proc = run_python(["-c", "import sys, tamedlmc.cli; print(sorted(sys.modules))"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "'tamedlmc.cli'" in proc.stdout
+    assert [m for m in UNUSED_AT_START if repr(m) in proc.stdout] == []
+
+    proc = run_python(["-X", "importtime", "-m", "tamedlmc", "--help"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+               if line.startswith("import time:")]
+    assert "tamedlmc.cli" in modules
+    assert [m for m in UNUSED_AT_START if m in modules] == []
+
+
+def test_commands_that_derive_no_constant_run_without_mpmath(tmp_path):
+    proc = run_python(["-m", "tamedlmc", *(
+        "sample --target double-well --dim 10 --chains 50 --lambda 0.01 --horizon 1 "
+        "--out dw.csv").split()], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = {
+        "dwh.csv": "histogram --in dw.csv",
+        "g.csv": "rate --target gaussian --dim 1 --metric gaussian-exact --analytic --grid 0.2,0.1",
+        "r.csv": "rate --target double-well --dim 2 --chains 20 --horizon 1 --grid 0.1,0.05 "
+                 "--ref-fine-step 0.01 --ref-horizon 1",
+    }
+    for out, line in lines.items():
+        proc = run_python(["-c", WITHOUT_MPMATH, *line.split(), "--out", out], tmp_path)
+        assert proc.returncode == 0, (line, proc.stderr)
+        manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+        assert manifest["version"].startswith(tamedlmc.__version__), manifest["version"]
+
+
+def test_constants_names_resolve_on_first_use(tmp_path):
+    script = ("import sys, tamedlmc; loaded = 'mpmath' in sys.modules; "
+              "from tamedlmc import derive_constants, certified_moduli; "
+              "from tamedlmc import constants; "
+              "print(loaded, derive_constants is constants.derive_constants, "
+              "certified_moduli is constants.certified_moduli)")
+    proc = run_python(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]
