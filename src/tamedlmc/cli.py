@@ -20,6 +20,7 @@ import datetime
 import functools
 import json
 import math
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -27,8 +28,7 @@ from pathlib import Path
 import numpy as np
 
 # the constants pipeline, and with it mpmath (about 30 ms of import), is
-# imported only where it is used: sample, rate's default reference step,
-# constants and check
+# imported only by constants and check
 from . import __version__, metrics, potentials, sampler
 from .numerics import RngStream
 
@@ -154,6 +154,14 @@ def _version_stamp() -> str:
     return __version__
 
 
+def _peak_rss_mb() -> dict:
+    """Peak resident set size in MB (1e6 bytes) of this process and of its
+    largest reaped child process (the kernel's helpers and workers)."""
+    scale = 1e-6 if sys.platform == "darwin" else 1024e-6  # ru_maxrss: bytes, else KiB
+    return {who: round(resource.getrusage(which).ru_maxrss * scale, 3)
+            for who, which in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))}
+
+
 def _parse_settings(args, settings: dict, source: str) -> dict:
     """A preset's or config file's settings, keyed by manifest key.
 
@@ -255,6 +263,7 @@ def _write(paths, files, command: str, opts):
     contents.append(_json({
         "command": command,
         "resolved_config": opts,
+        "peak_rss_mb": _peak_rss_mb(),  # read before the version stamp runs git
         "version": _version_stamp(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [str(o) for o in outputs],
@@ -291,8 +300,7 @@ def _chains(where: str, run, *args, every=True, **kwargs) -> sampler.EmpiricalMe
 def cmd_sample(opts, explicit) -> tuple:
     lam, dim = opts["lambda"], opts["dim"]
     target = potentials.make_target(opts["target"], dim)
-    from . import constants
-    lam_max = constants.certified_moduli(target).lambda_max
+    lam_max, _ = target.step_size_limits()
     if lam > lam_max:
         print(f"warning: lambda={lam:g} exceeds the theoretical maximum step size "
               f"{lam_max:g} for target {target.name!r}", file=sys.stderr)
@@ -399,8 +407,7 @@ def cmd_rate(opts, explicit) -> tuple:
                    for lam in grid]
         if target.exact_draw is None:
             if opts["ref_fine_step"] is None:
-                from . import constants
-                opts["ref_fine_step"] = constants.certified_moduli(target).lambda_max / 10.0
+                opts["ref_fine_step"] = target.step_size_limits()[0] / 10.0
             if opts["ref_horizon"] is None:
                 opts["ref_horizon"] = min(opts["horizon"], 50.0)
         b = _chains(

@@ -5,7 +5,8 @@ the tamed chain, in five stages that each derive their constants once:
    b_bar_prime, R (dissipativity), R_bar, L_bar (one-sided Lipschitz),
    C_grad, L_bar_grad (Hessian growth), grad_h0_norm = |H(0)| and the
    step-size limits lambda_max, lambda_1_max, from the target alone.
-   ``check`` and the samplers read only this stage.
+   ``check`` reads only this stage; ``sample`` and ``rate`` read the limits
+   from ``TargetSpec.step_size_limits`` without this module.
 2. ``derive_moment_constants``: kappa, c0, kappa_star and the per-degree
    tables M1, kappa_tilde, M2, c1, c2, c3, c_star; reads a_bar, b_bar.
 3. ``derive_drift_constants``: the per-degree tables M_V, c_V1, c_V2;
@@ -66,7 +67,7 @@ def _v_mp(p: int, w: mpf) -> mpf:
 
 def certified_moduli(target: TargetSpec) -> SimpleNamespace:
     """The base stage, from the target alone: every later stage, the
-    certificates and ``sample``'s step-size warning read it.
+    certificates and the constants report read it.
 
     r > 0 branch:
         R = max((4b/a)^{1/(r-r_bar)}, 2^{1/r}), R_bar = (b/a)^{1/(r-r_bar)}
@@ -76,8 +77,8 @@ def certified_moduli(target: TargetSpec) -> SimpleNamespace:
     r = 0 branch: a_bar = a_tilde, b_bar = b_bar_prime = b_tilde, R absent,
     R_bar = 0.  Then L_bar = L (1 + 2 R_bar)^r, C_grad = 2 max(2^{nu-1}
     L_grad, grad_h0_norm) with grad_h0_norm = |H(0)|, L_bar_grad = 3^{nu-1}
-    L_grad, and the step-size limits (floats) lambda_max = min{1,
-    a_bar^2/(8K^4), 1/a_bar^2} and lambda_1_max = min{1, a_bar^2/(8K^4)}.
+    L_grad, and the step-size limits lambda_max, lambda_1_max in floats
+    (``TargetSpec.step_size_limits``).
     """
     K = mpf(target.K)
     if target.r > 0:
@@ -93,13 +94,13 @@ def certified_moduli(target: TargetSpec) -> SimpleNamespace:
         a_bar = mpf(target.a_tilde)
         b_bar = b_bar_prime = mpf(target.b_tilde)
     grad_h0_norm = float(hessian_norm(target, np.zeros((1, target.d)))[0])
-    lam_1 = min(mpf(1), a_bar**2 / (8 * K**4))
+    lambda_max, lambda_1_max = target.step_size_limits()
     return SimpleNamespace(
         a_bar=a_bar, b_bar=b_bar, b_bar_prime=b_bar_prime, R=R, R_bar=R_bar,
         L_bar=mpf(target.L) * (1 + 2 * R_bar) ** target.r,
         C_grad=2 * max(mpf(2) ** (target.nu - 1) * mpf(target.L_grad), mpf(grad_h0_norm)),
         L_bar_grad=mpf(3) ** (target.nu - 1) * mpf(target.L_grad), grad_h0_norm=grad_h0_norm,
-        lambda_max=float(min(lam_1, 1 / a_bar**2)), lambda_1_max=float(lam_1),
+        lambda_max=lambda_max, lambda_1_max=lambda_1_max,
     )
 
 

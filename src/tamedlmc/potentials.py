@@ -95,6 +95,16 @@ class TargetSpec:
         h = np.expand_dims(a, -1) * theta
         return h if c is None else h + c
 
+    def step_size_limits(self) -> tuple[float, float]:
+        """(lambda_max, lambda_1_max) = (min{1, a_bar^2/(8K^4), 1/a_bar^2},
+        min{1, a_bar^2/(8K^4)}), with a_bar = a/2 when r > 0, else a_tilde:
+        exact in rationals of the float fields, each rounded once."""
+        from fractions import Fraction  # about 2 ms of import, for sample and rate alone
+
+        a_bar = Fraction(self.a) / 2 if self.r > 0 else Fraction(self.a_tilde)
+        lam_1 = min(Fraction(1), a_bar**2 / (8 * Fraction(self.K) ** 4))
+        return float(min(lam_1, 1 / a_bar**2)), float(lam_1)
+
 
 # --- built-in potentials (module level so targets pickle across workers) ---
 

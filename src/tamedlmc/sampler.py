@@ -145,11 +145,13 @@ def _advance(parts, r, tamed, lam, theta, xi, sq, f, work) -> None:
     theta += xi
 
 
-# doubles of Gaussian noise one kernel call holds, blocks and staging
-# arrays of at most _STAGING each together.  Tests lower it so that a run
-# spans many blocks.
+# A block is one generator call of _CALL_DRAWS draws per chain (its ~1 us
+# start-up is then under 2%), within _NOISE_BUDGET doubles for both blocks
+# and the staging array, which binds at short rows (d=2 x 8,000 chains).
+# Tests lower them so that a run spans many blocks.
 _NOISE_BUDGET = 8_000_000
 _STAGING = 2**18  # 2 MB
+_CALL_DRAWS = 4096
 
 
 def _send(pipe, message) -> None:
@@ -226,8 +228,8 @@ def _run_chain_block(
     streams = RngStream.family(master_seed, indices)
     scale = math.sqrt(2.0 * lam / beta)
     # two buffers of half the budget, with a staging array; a chain's
-    # block fits one staging array when the budget allows
-    block = max(1, min(n_steps, (_NOISE_BUDGET // 2 - _STAGING) // (m * d), _STAGING // d))
+    # block is at most one call of _CALL_DRAWS draws, rounded up to a step
+    block = max(1, min(n_steps, (_NOISE_BUDGET // 2 - _STAGING) // (m * d), -(-_CALL_DRAWS // d)))
     chunk = max(1, min(m, _STAGING // (block * d)))
     n_blocks = -(-n_steps // block)
     n_buffers = min(2, n_blocks)

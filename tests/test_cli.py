@@ -1,5 +1,8 @@
 import errno
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -622,6 +625,26 @@ class TestManifest:
         assert run(["constants", "--target", "gaussian", "--dim", "2", "--out", str(out)]) == 0
         version = json.loads((tmp_path / "v.json.manifest.json").read_text())["version"]
         assert version == tamedlmc.__version__ or version.startswith(tamedlmc.__version__ + "+git.")
+
+    def test_every_manifest_records_peak_rss(self, tmp_path, samples_csv):
+        for cmd in OUTPUTS:
+            assert run(_output_argv(cmd, tmp_path, samples_csv)) == 0
+            peak = json.loads((tmp_path / OUTPUTS[cmd][-1]).read_text())["peak_rss_mb"]
+            assert sorted(peak) == ["children", "self"] and peak["self"] > 10, (cmd, peak)
+
+    def test_peak_rss_counts_the_reaped_helper(self, tmp_path):
+        # a fresh process has reaped no child; at d=10 a block is 410 steps,
+        # so 100 steps fork no helper and 500 steps fork one, reaped before
+        # the manifest is written
+        env = {**os.environ, "PYTHONPATH": str(Path(tamedlmc.__file__).resolve().parents[1])}
+        for horizon, helper in (("1", False), ("5", True)):
+            out = tmp_path / f"h{horizon}.csv"
+            subprocess.run([sys.executable, "-m", "tamedlmc", "sample", "--target", "gaussian",
+                            "--dim", "10", "--chains", "20", "--lambda", "0.01",
+                            "--horizon", horizon, "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            peak = json.loads(Path(f"{out}.manifest.json").read_text())["peak_rss_mb"]
+            assert peak["self"] > 10 and (peak["children"] > 0) == helper, (horizon, peak)
 
     def test_package_version_matches_pyproject(self):
         tomllib = pytest.importorskip("tomllib")  # Python 3.11+

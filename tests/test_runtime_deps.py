@@ -77,8 +77,8 @@ def test_import_loads_no_process_pool(tmp_path):
 
 
 def test_import_loads_no_constants_pipeline(tmp_path):
-    # mpmath alone costs about 30 ms of import, which histogram and most
-    # rate runs never use
+    # mpmath alone costs about 30 ms of import, which sample, histogram
+    # and rate never use
     proc = run_python(["-c", "import sys, tamedlmc.cli; print(sorted(sys.modules))"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "'tamedlmc.cli'" in proc.stdout
@@ -93,21 +93,26 @@ def test_import_loads_no_constants_pipeline(tmp_path):
 
 
 def test_commands_that_derive_no_constant_run_without_mpmath(tmp_path):
-    proc = run_python(["-m", "tamedlmc", *(
-        "sample --target double-well --dim 10 --chains 50 --lambda 0.01 --horizon 1 "
-        "--out dw.csv").split()], tmp_path)
-    assert proc.returncode == 0, proc.stderr
+    # sample's step-size warning and rate's default reference step read
+    # lambda_max = 1/2048 of the double-well from the target, not mpmath
     lines = {
+        "dw.csv": "sample --target double-well --dim 10 --chains 50 --lambda 0.01 --horizon 1",
         "dwh.csv": "histogram --in dw.csv",
         "g.csv": "rate --target gaussian --dim 1 --metric gaussian-exact --analytic --grid 0.2,0.1",
         "r.csv": "rate --target double-well --dim 2 --chains 20 --horizon 1 --grid 0.1,0.05 "
                  "--ref-fine-step 0.01 --ref-horizon 1",
+        "rd.csv": "rate --target double-well --dim 2 --chains 20 --horizon 1 --grid 0.1,0.05 "
+                  "--ref-horizon 0.01",
     }
     for out, line in lines.items():
         proc = run_python(["-c", WITHOUT_MPMATH, *line.split(), "--out", out], tmp_path)
         assert proc.returncode == 0, (line, proc.stderr)
         manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
         assert manifest["version"].startswith(tamedlmc.__version__), manifest["version"]
+        if out == "dw.csv":
+            assert "exceeds the theoretical maximum step size 0.000488281" in proc.stderr
+        if out == "rd.csv":
+            assert manifest["resolved_config"]["ref_fine_step"] == 1 / 20480
 
 
 def test_constants_names_resolve_on_first_use(tmp_path):

@@ -381,11 +381,17 @@ class TestNoiseBlocks:
         return read
 
     @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("cut", ["budget", "call"])
     @pytest.mark.parametrize("name, d", [pytest.param(name, d, id=name + ("-d1" if d == 1 else ""))
                                          for d in (3, 1)
                                          for name in ("gaussian", "mixture", "double-well")])
     def test_many_blocks_match_single_chain_stepping(self, small_blocks, split, monkeypatch,
-                                                     tmp_path, name, d, n_workers):
+                                                     tmp_path, name, d, cut, n_workers):
+        # blocks cut by the noise budget, or shorter still by one
+        # generator call of 10 draws per chain: ceil(10 / d) steps
+        if cut == "call":
+            monkeypatch.setattr(sampler, "_CALL_DRAWS", 10)
+            small_blocks = {3: [4, 4, 4, 4, 4, 3], 1: [10, 10, 3]}
         t = make_target(name, d)
         cfg = SamplerConfig(lam=0.05, beta=1.5, d=d, n_chains=7, horizon=23 * 0.05,
                             master_seed=8, theta0=np.array([1.5, -0.5, 0.25])[:d])
@@ -425,6 +431,7 @@ class TestNoiseBlocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sampler, "_NOISE_BUDGET", 280)
             mp.setattr(sampler, "_STAGING", 30)
+            mp.setattr(sampler, "_CALL_DRAWS", 30)
             mp.setattr(sampler, "_balance", lambda s, m, *times: 0 if s else m)
             read = self.log_draws(mp, tmp_path_factory.mktemp("draws") / "draws.log")
             m = run_chains(cfg, t, n_workers=n_workers)
@@ -434,6 +441,28 @@ class TestNoiseBlocks:
             # from the third block on, every chain has drawn in both processes
             if len(draws[i]) >= 3:
                 assert len({pid for pid, _ in draws[i]}) == 2, draws[i]
+
+    @pytest.mark.parametrize("d, n_chains, n_steps, size", [
+        (100, 250, 125, 2 * 41 * 250 * 100 * 8),  # ceil(4096 / d) = 41 steps a block
+        (2, 8000, 700, 2 * 233 * 8000 * 2 * 8),  # short rows: the budget binds first
+    ])
+    def test_noise_mapping_size(self, monkeypatch, d, n_chains, n_steps, size):
+        # the shared mapping holds two blocks of one generator call per
+        # chain: 16.4 MB at the protocol shape, not the budget's 59.6 MB
+        sizes = []
+        mapping = sampler.mmap.mmap
+
+        def spy(fileno, length, *args, **kwargs):
+            sizes.append(length)
+            return mapping(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(sampler.mmap, "mmap", spy)
+        cfg = SamplerConfig(lam=0.01, beta=1.0, d=d, n_chains=n_chains,
+                            horizon=n_steps * 0.01 * (1 - 1e-9), master_seed=3)
+        assert cfg.n_steps == n_steps
+        run_chains(cfg, make_double_well(d))
+        assert sizes == [size]
+        assert n_steps >= 3 * size // (2 * n_chains * d * 8)  # at least three blocks
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_survivors_of_a_divergence_match(self, small_blocks, split, n_workers):
