@@ -64,7 +64,7 @@ def _list(item):
 
 def _override(text: str) -> dict:
     name, raw = (part.strip() for part in text.split("=", 1))
-    return {name: int(raw) if name in ("r", "nu") else float(raw)}
+    return {name: potentials.CONSTANT_TYPES.get(name, float)(raw)}
 
 
 class _Merge(argparse.Action):
@@ -81,7 +81,8 @@ POSITIVE = _domain("a positive finite number", float, lambda x: math.isfinite(x)
 FINITE = _domain("a finite number", float, math.isfinite)
 GRID = _domain("at least two distinct step sizes", _list(POSITIVE),
                lambda grid: len(set(grid)) == len(grid) >= 2)
-OVERRIDE = _domain("NAME=VALUE with a finite value (an integer for r, nu)", _override,
+_INTEGERS = ", ".join(name for name, kind in potentials.CONSTANT_TYPES.items() if kind is int)
+OVERRIDE = _domain(f"NAME=VALUE with a finite value (an integer for {_INTEGERS})", _override,
                    lambda override: all(map(math.isfinite, override.values())))
 
 
@@ -104,7 +105,7 @@ OPTIONS = (
     ("lambda", {"type": POSITIVE}, {"sample": REQUIRED}),
     ("chains", {"type": _at_least(1)}, _each(250, "sample", "rate")),
     ("horizon", {"type": POSITIVE}, _each(400.0, "sample", "rate")),
-    ("workers", {"type": _at_least(1)}, _each(1, "sample", "rate")),
+    ("workers", {"type": _domain("1", int, lambda n: n == 1)}, _each(1, "sample", "rate")),
     ("theta0", {"type": FINITE}, {"sample": 0.0}),
     ("algorithm", {"choices": sampler.ALGORITHMS}, {"sample": "mtula"}),
     ("in", {}, {"histogram": REQUIRED}),
@@ -156,7 +157,8 @@ def _version_stamp() -> str:
 
 def _peak_rss_mb() -> dict:
     """Peak resident set size in MB (1e6 bytes) of this process and of its
-    largest reaped child process (the kernel's helpers and workers)."""
+    largest reaped child process (a kernel's noise helper, or the git
+    child of the version stamp), each over the process's lifetime."""
     scale = 1e-6 if sys.platform == "darwin" else 1024e-6  # ru_maxrss: bytes, else KiB
     return {who: round(resource.getrusage(which).ru_maxrss * scale, 3)
             for who, which in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))}
@@ -309,8 +311,7 @@ def cmd_sample(opts, explicit) -> tuple:
         lam=lam, beta=opts["beta"], d=dim, n_chains=opts["chains"], horizon=opts["horizon"],
         master_seed=opts["seed"], theta0=opts["theta0"], algorithm=opts["algorithm"],
     )
-    measure = _chains(f"lambda={lam:g}", sampler.run_chains, cfg, target, every=False,
-                      n_workers=opts["workers"])
+    measure = _chains(f"lambda={lam:g}", sampler.run_chains, cfg, target, every=False)
     n_div = len(measure.meta["diverged_chains"])
     return 0, [measure, measure.meta], (
         f"wrote {Path(opts['out'])} ({measure.samples.shape[0]} chains x d={dim}"
@@ -335,6 +336,13 @@ def cmd_histogram(opts, explicit) -> tuple:
         raise UsageError(
             f"the analytic marginals are for beta = 1; the samples have beta = {beta}"
         )
+    # a metadata file that contradicts the run would score it against the wrong law
+    if opts["target"] and meta.get("target", opts["target"]) != opts["target"]:
+        raise UsageError(f"--target {opts['target']} contradicts {meta_path}: "
+                         f"the samples are from target {meta['target']!r}")
+    if meta.get("d", samples.shape[1]) != samples.shape[1]:
+        raise UsageError(f"{meta_path} records d = {meta['d']}, "
+                         f"but {in_path} has {samples.shape[1]} coordinates")
     opts["target"] = opts["target"] or meta.get("target")
     if opts["target"] is None:
         raise UsageError("--target is required when the samples have no metadata file")
@@ -400,7 +408,7 @@ def cmd_rate(opts, explicit) -> tuple:
         distances = [abs(sampler.gaussian_chain_std(lam, beta) - 1.0 / np.sqrt(beta))
                      for lam in grid]
     else:
-        seed, workers = opts["seed"], opts["workers"]
+        seed = opts["seed"]
         # built first, so a step count that overflows exits 2 before any chain runs
         configs = [sampler.SamplerConfig(lam=lam, beta=beta, d=dim, n_chains=opts["chains"],
                                          horizon=opts["horizon"], master_seed=seed)
@@ -413,11 +421,9 @@ def cmd_rate(opts, explicit) -> tuple:
         b = _chains(
             "the reference", sampler.reference_measure, target, beta, master_seed=seed + 10_000,
             n_draws=opts["chains"], horizon=opts["ref_horizon"], fine_step=opts["ref_fine_step"],
-            n_workers=workers,
         ).samples
         for cfg in configs:
-            a = _chains(f"lambda={cfg.lam:g}", sampler.run_chains, cfg, target,
-                        n_workers=workers).samples
+            a = _chains(f"lambda={cfg.lam:g}", sampler.run_chains, cfg, target).samples
             p = 2 if metric.endswith("2") else 1
             if metric in ("w1", "w2"):
                 dist = metrics.wasserstein_1d(a[:, 0], b[:, 0], p=p)

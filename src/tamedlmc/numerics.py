@@ -98,7 +98,7 @@ class RngStream:
     index in [0, 2**32).
 
     A stream is a stateful value: drawing advances it.  Each concurrent
-    worker must own its streams; nothing here is shared.
+    process must own its streams; nothing here is shared.
     """
 
     def __init__(self, master_seed: int, stream_index: int = 0):

@@ -106,7 +106,13 @@ class TargetSpec:
         return float(min(lam_1, 1 / a_bar**2)), float(lam_1)
 
 
-# --- built-in potentials (module level so targets pickle across workers) ---
+# The assumption constants a falsification control may replace, with the
+# type of each: ``override_constants`` and ``check --override`` read it.
+CONSTANT_TYPES = {"r": int, "nu": int, "L": float, "K": float, "L_grad": float, "a": float,
+                  "b": float, "r_bar": float, "a_tilde": float, "b_tilde": float}
+
+
+# --- built-in potentials (module-level functions, so a target pickles) ---
 
 def _gaussian_u(theta):
     theta = np.asarray(theta, dtype=float)
@@ -294,10 +300,9 @@ def make_target(name: str, d: int) -> TargetSpec:
 
 def override_constants(target: TargetSpec, **overrides) -> TargetSpec:
     """Replace assumption constants on a target (falsification controls)."""
-    allowed = {"r", "nu", "L", "K", "a", "b", "r_bar", "a_tilde", "b_tilde", "L_grad"}
-    bad = set(overrides) - allowed
+    bad = set(overrides) - set(CONSTANT_TYPES)
     if bad:
-        raise ValueError(f"cannot override {sorted(bad)}; allowed: {sorted(allowed)}")
+        raise ValueError(f"cannot override {sorted(bad)}; allowed: {sorted(CONSTANT_TYPES)}")
     return replace(target, **overrides)
 
 

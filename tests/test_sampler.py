@@ -233,13 +233,6 @@ class TestRunChains:
             b = run_chains(cfg, t)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_worker_count_invariance(self):
-        t = make_double_well(2)
-        cfg = SamplerConfig(lam=0.01, beta=1.0, d=2, n_chains=7, horizon=2.0, master_seed=5)
-        one = run_chains(cfg, t, n_workers=1)
-        three = run_chains(cfg, t, n_workers=3)
-        assert np.array_equal(one.samples, three.samples)
-
     def test_matches_single_chain_stepping(self):
         for name in ["gaussian", "mixture", "double-well"]:
             t = make_target(name, 6)
@@ -255,15 +248,13 @@ class TestRunChains:
         lam=st.floats(1e-3, 0.3),
         beta=st.floats(0.25, 4.0),
         n_chains=st.integers(1, 5),
-        n_workers=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_single_chain_stepping_property(self, name, d, lam, beta, n_chains,
-                                                    n_workers, seed):
+    def test_matches_single_chain_stepping_property(self, name, d, lam, beta, n_chains, seed):
         t = make_target(name, d)
         cfg = SamplerConfig(lam=lam, beta=beta, d=d, n_chains=n_chains,
                             horizon=10 * lam, master_seed=seed)
-        m = run_chains(cfg, t, n_workers=n_workers)
+        m = run_chains(cfg, t)
         assert list(m.chain_ids) == list(range(n_chains))
         for i in range(n_chains):
             assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
@@ -326,8 +317,7 @@ def small_blocks(monkeypatch):
 
 @dataclass
 class FailingDrift:
-    """Drift parts that raise at call ``at``; pickled to chain workers by
-    reference, like a target's own."""
+    """Drift parts that raise at call ``at``."""
 
     parts: Callable
     at: int
@@ -380,13 +370,12 @@ class TestNoiseBlocks:
 
         return read
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize("cut", ["budget", "call"])
     @pytest.mark.parametrize("name, d", [pytest.param(name, d, id=name + ("-d1" if d == 1 else ""))
                                          for d in (3, 1)
                                          for name in ("gaussian", "mixture", "double-well")])
     def test_many_blocks_match_single_chain_stepping(self, small_blocks, split, monkeypatch,
-                                                     tmp_path, name, d, cut, n_workers):
+                                                     tmp_path, name, d, cut):
         # blocks cut by the noise budget, or shorter still by one
         # generator call of 10 draws per chain: ceil(10 / d) steps
         if cut == "call":
@@ -397,15 +386,13 @@ class TestNoiseBlocks:
                             master_seed=8, theta0=np.array([1.5, -0.5, 0.25])[:d])
         assert cfg.n_steps == 23
         read = self.log_draws(monkeypatch, tmp_path / "draws.log")
-        m = run_chains(cfg, t, n_workers=n_workers)
+        m = run_chains(cfg, t)
         draws = read()
         blocks = {i: [steps for _, steps in chain] for i, chain in draws.items()}
-        if n_workers == 1:
-            assert blocks == {i: small_blocks[d] for i in range(7)}
-            if split is not None:
-                assert all((pid == os.getpid()) == split
-                           for chain in draws.values() for pid, _ in chain[1:]), draws
-        assert sorted(blocks) == list(range(7)) and all(sum(b) == 23 for b in blocks.values())
+        assert blocks == {i: small_blocks[d] for i in range(7)}
+        if split is not None:
+            assert all((pid == os.getpid()) == split
+                       for chain in draws.values() for pid, _ in chain[1:]), draws
         for i in range(7):
             assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
 
@@ -415,14 +402,12 @@ class TestNoiseBlocks:
         d=st.integers(1, 4),
         n_chains=st.integers(1, 9),
         n_steps=st.integers(1, 30),
-        n_workers=st.sampled_from([1, 2, 3]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_every_chain_changing_process_every_block(self, tmp_path_factory, name, d,
-                                                      n_chains, n_steps, n_workers, seed):
+                                                      n_chains, n_steps, seed):
         # the split swings between 0 and m after every block, so each chain
-        # changes process every block and moves with its generator's state;
-        # three workers with their helpers are more processes than cores
+        # changes process every block and moves with its generator's state
         t = make_target(name, d)
         cfg = SamplerConfig(lam=0.05, beta=1.5, d=d, n_chains=n_chains,
                             horizon=n_steps * 0.05 * (1 - 1e-9), master_seed=seed,
@@ -434,7 +419,7 @@ class TestNoiseBlocks:
             mp.setattr(sampler, "_CALL_DRAWS", 30)
             mp.setattr(sampler, "_balance", lambda s, m, *times: 0 if s else m)
             read = self.log_draws(mp, tmp_path_factory.mktemp("draws") / "draws.log")
-            m = run_chains(cfg, t, n_workers=n_workers)
+            m = run_chains(cfg, t)
             draws = read()
         for i in range(n_chains):
             assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
@@ -464,13 +449,12 @@ class TestNoiseBlocks:
         assert sizes == [size]
         assert n_steps >= 3 * size // (2 * n_chains * d * 8)  # at least three blocks
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_survivors_of_a_divergence_match(self, small_blocks, split, n_workers):
+    def test_survivors_of_a_divergence_match(self, small_blocks, split):
         # untamed steps at lam = 0.4 lose 7 of 9 chains between steps 9 and 20
         t = make_double_well(2)
         cfg = SamplerConfig(lam=0.4, beta=1.0, d=2, n_chains=9, horizon=23 * 0.4,
                             master_seed=1, algorithm="ula")
-        m = run_chains(cfg, t, n_workers=n_workers)
+        m = run_chains(cfg, t)
         lost = {c["chain"] for c in m.meta["diverged_chains"]}
         assert len(lost) == 7 and 9 <= min(c["step"] for c in m.meta["diverged_chains"])
         assert list(m.chain_ids) == [i for i in range(9) if i not in lost]
@@ -485,7 +469,7 @@ class TestHelperProcess:
 
     @pytest.fixture
     def forked(self, monkeypatch):
-        # pids this process forks (the helper with one worker)
+        # pids this process forks (the run's helper)
         pids = []
         fork = os.fork
 
@@ -518,11 +502,10 @@ class TestHelperProcess:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_normal_return(self, small_blocks, forked, deadline, n_workers):
+    def test_normal_return(self, small_blocks, forked, deadline):
         cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
         threads = threading.active_count()
-        run_chains(cfg, make_gaussian(3), n_workers=n_workers)
+        run_chains(cfg, make_gaussian(3))
         assert forked and threading.active_count() == threads
         self.assert_all_reaped(forked)
 
@@ -535,30 +518,26 @@ class TestHelperProcess:
         for i in range(7):
             assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_all_chains_diverged(self, small_blocks, forked, deadline, n_workers):
+    def test_all_chains_diverged(self, small_blocks, forked, deadline):
         cfg = SamplerConfig(lam=0.5, beta=1.0, d=2, n_chains=4, horizon=10.0, master_seed=0,
                             theta0=np.array([1e200, 0.0]), algorithm="ula")
         with pytest.raises(DivergenceError):
-            run_chains(cfg, make_double_well(2), n_workers=n_workers)
+            run_chains(cfg, make_double_well(2))
         assert forked
         self.assert_all_reaped(forked)
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_drift_raising_mid_run(self, small_blocks, forked, deadline, n_workers):
+    def test_drift_raising_mid_run(self, small_blocks, forked, deadline):
         t = make_double_well(3)
         t = replace(t, drift_parts=FailingDrift(t.drift_parts, at=12))
         cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
         with pytest.raises(ArithmeticError, match="call 12"):
-            run_chains(cfg, t, n_workers=n_workers)
+            run_chains(cfg, t)
         assert forked
         self.assert_all_reaped(forked)
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_killed_helper_fails_the_run(self, small_blocks, forked, deadline, monkeypatch,
-                                         n_workers):
-        # at the third step, each stepping process kills its helper (the
-        # last process it forked); blocks of 5 steps are still to be filled
+    def test_killed_helper_fails_the_run(self, small_blocks, forked, deadline, monkeypatch):
+        # at the third step the stepping process kills its helper; blocks
+        # of 5 steps are still to be filled
         steps = []
         advance = sampler._advance
 
@@ -571,7 +550,7 @@ class TestHelperProcess:
         monkeypatch.setattr(sampler, "_advance", kill_at_third_step)
         cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
         with pytest.raises(RuntimeError, match="exit status -9"):
-            run_chains(cfg, make_gaussian(3), n_workers=n_workers)
+            run_chains(cfg, make_gaussian(3))
         self.assert_all_reaped(forked)
 
 
@@ -648,7 +627,7 @@ class TestReference:
         t = make_target("mixture", 2)
         ref = reference_measure(t, beta=1.0, horizon=10.0,
                                 fine_step=certified_moduli(t).lambda_max / 10.0, master_seed=31,
-                                n_draws=10_000, n_workers=2)
+                                n_draws=10_000)
         md = marginal_pdf(t)
         cdf = cdf_from_pdf(md.pdf, *marginal_support(md.pdf))
         assert ks_statistic(ref.samples[:, 0], cdf) < 0.02
