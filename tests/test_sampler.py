@@ -315,6 +315,19 @@ def small_blocks(monkeypatch):
     return {3: [5, 5, 5, 5, 3], 1: [15, 8]}
 
 
+@pytest.fixture(params=["timed", "stepper-only", "helper-only"])
+def split(request, monkeypatch):
+    # after the first block the split is balanced by timing, or held at
+    # m (the stepping process fills every chain, the helper none) or at 0
+    # (the helper fills every chain); returns which process, by whether
+    # it is the stepping one, draws from the second block on
+    forced = {"stepper-only": lambda s, m, *times: m,
+              "helper-only": lambda s, m, *times: 0}.get(request.param)
+    if forced:
+        monkeypatch.setattr(sampler, "_balance", forced)
+    return {"stepper-only": True, "helper-only": False}.get(request.param)
+
+
 @dataclass
 class FailingDrift:
     """Drift parts that raise at call ``at``."""
@@ -334,18 +347,6 @@ class TestNoiseBlocks:
     """The kernel steps through one block of noise while a forked helper
     process fills its share of the next; with the noise budget cut, a
     short run spans many blocks."""
-
-    @pytest.fixture(params=["timed", "stepper-only", "helper-only"])
-    def split(self, request, monkeypatch):
-        # after the first block the split is balanced by timing, or held at
-        # m (the stepping process fills every chain, the helper none) or
-        # at 0 (the helper fills every chain); returns which process, by
-        # whether it is the stepping one, draws from the second block on
-        forced = {"stepper-only": lambda s, m, *times: m,
-                  "helper-only": lambda s, m, *times: 0}.get(request.param)
-        if forced:
-            monkeypatch.setattr(sampler, "_balance", forced)
-        return {"stepper-only": True, "helper-only": False}.get(request.param)
 
     @staticmethod
     def log_draws(monkeypatch, path):
@@ -370,20 +371,23 @@ class TestNoiseBlocks:
 
         return read
 
+    @pytest.mark.parametrize("algorithm", ["mtula", "ula"])
     @pytest.mark.parametrize("cut", ["budget", "call"])
     @pytest.mark.parametrize("name, d", [pytest.param(name, d, id=name + ("-d1" if d == 1 else ""))
                                          for d in (3, 1)
                                          for name in ("gaussian", "mixture", "double-well")])
     def test_many_blocks_match_single_chain_stepping(self, small_blocks, split, monkeypatch,
-                                                     tmp_path, name, d, cut):
+                                                     tmp_path, name, d, cut, algorithm):
         # blocks cut by the noise budget, or shorter still by one
-        # generator call of 10 draws per chain: ceil(10 / d) steps
+        # generator call of 10 draws per chain: ceil(10 / d) steps; the
+        # tamed and the untamed update both step through them
         if cut == "call":
             monkeypatch.setattr(sampler, "_CALL_DRAWS", 10)
             small_blocks = {3: [4, 4, 4, 4, 4, 3], 1: [10, 10, 3]}
         t = make_target(name, d)
         cfg = SamplerConfig(lam=0.05, beta=1.5, d=d, n_chains=7, horizon=23 * 0.05,
-                            master_seed=8, theta0=np.array([1.5, -0.5, 0.25])[:d])
+                            master_seed=8, theta0=np.array([1.5, -0.5, 0.25])[:d],
+                            algorithm=algorithm)
         assert cfg.n_steps == 23
         read = self.log_draws(monkeypatch, tmp_path / "draws.log")
         m = run_chains(cfg, t)
@@ -449,8 +453,12 @@ class TestNoiseBlocks:
         assert sizes == [size]
         assert n_steps >= 3 * size // (2 * n_chains * d * 8)  # at least three blocks
 
-    def test_survivors_of_a_divergence_match(self, small_blocks, split):
-        # untamed steps at lam = 0.4 lose 7 of 9 chains between steps 9 and 20
+    @pytest.mark.parametrize("cut", ["budget", "call"])
+    def test_survivors_of_a_divergence_match(self, small_blocks, split, monkeypatch, cut):
+        # untamed steps at lam = 0.4 lose 7 of 9 chains between steps 9 and
+        # 20, in blocks of 6 steps, or of 5 when cut by a call of 10 draws
+        if cut == "call":
+            monkeypatch.setattr(sampler, "_CALL_DRAWS", 10)
         t = make_double_well(2)
         cfg = SamplerConfig(lam=0.4, beta=1.0, d=2, n_chains=9, horizon=23 * 0.4,
                             master_seed=1, algorithm="ula")
@@ -465,7 +473,8 @@ class TestNoiseBlocks:
 
 class TestHelperProcess:
     """The kernel's helper is a forked process, reaped on every way out of
-    a run; a helper that dies fails the run instead of hanging it."""
+    a run whichever process fills the noise, even a helper that fills no
+    chain; a helper that dies fails the run instead of hanging it."""
 
     @pytest.fixture
     def forked(self, monkeypatch):
@@ -502,7 +511,7 @@ class TestHelperProcess:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_normal_return(self, small_blocks, forked, deadline):
+    def test_normal_return(self, small_blocks, split, forked, deadline):
         cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
         threads = threading.active_count()
         run_chains(cfg, make_gaussian(3))
@@ -518,7 +527,7 @@ class TestHelperProcess:
         for i in range(7):
             assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
 
-    def test_all_chains_diverged(self, small_blocks, forked, deadline):
+    def test_all_chains_diverged(self, small_blocks, split, forked, deadline):
         cfg = SamplerConfig(lam=0.5, beta=1.0, d=2, n_chains=4, horizon=10.0, master_seed=0,
                             theta0=np.array([1e200, 0.0]), algorithm="ula")
         with pytest.raises(DivergenceError):
@@ -526,7 +535,7 @@ class TestHelperProcess:
         assert forked
         self.assert_all_reaped(forked)
 
-    def test_drift_raising_mid_run(self, small_blocks, forked, deadline):
+    def test_drift_raising_mid_run(self, small_blocks, split, forked, deadline):
         t = make_double_well(3)
         t = replace(t, drift_parts=FailingDrift(t.drift_parts, at=12))
         cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
@@ -535,7 +544,7 @@ class TestHelperProcess:
         assert forked
         self.assert_all_reaped(forked)
 
-    def test_killed_helper_fails_the_run(self, small_blocks, forked, deadline, monkeypatch):
+    def test_killed_helper_fails_the_run(self, small_blocks, split, forked, deadline, monkeypatch):
         # at the third step the stepping process kills its helper; blocks
         # of 5 steps are still to be filled
         steps = []
