@@ -125,16 +125,6 @@ class RngStream:
         (C-contiguous, of that shape) when given."""
         return self._gen.standard_normal(shape, out=out)
 
-    @property
-    def state(self) -> dict:
-        """The stream's position: a stream given this state draws on from
-        where this one stands."""
-        return self._gen.bit_generator.state
-
-    @state.setter
-    def state(self, state: dict) -> None:
-        self._gen.bit_generator.state = state
-
     def __repr__(self):  # pragma: no cover
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 

@@ -9,10 +9,10 @@ where the tamed drift divides the gradient by (1 + lam |theta|^{2r})^{1/2}
 (mtula); the plain Euler scheme (ula) uses the raw gradient and is expected
 to blow up on super-linear gradients at practical step sizes.
 
-Chain i always consumes RngStream(master_seed, i), so multi-chain results
-are bitwise independent of execution order, blocking, or how the noise
-fill is split between the stepping process and its helper; a single chain
-is a one-row block of the same kernel.
+Chain i always consumes RngStream(master_seed, i) and each row is stepped
+apart from the others, so multi-chain results are bitwise independent of
+execution order, blocking, or which of a run's two processes steps the
+chain; a single chain is a one-row block of the same kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import mmap
 import os
 import pickle
-import time
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,71 +147,34 @@ def _advance(parts, r, tamed, lam, theta, xi, sq, f, work) -> None:
 
 
 # A block is one generator call of _CALL_DRAWS draws per chain (its ~1 us
-# start-up is then under 2%), within _NOISE_BUDGET doubles for both blocks
-# and the staging array, which binds at short rows (d=2 x 8,000 chains).
-# Tests lower them so that a run spans many blocks.
-_NOISE_BUDGET = 8_000_000
+# start-up is then under 2%), within _NOISE_BUDGET doubles for the blocks
+# of both halves of the run and a staging array, which binds at short rows
+# (d=2 x 8,000 chains).  Tests lower them so that a run spans many blocks.
+_NOISE_BUDGET = 4_000_000
 _STAGING = 2**18  # 2 MB
 _CALL_DRAWS = 4096
-
-
-def _send(pipe, message) -> None:
-    pickle.dump(message, pipe)
-    pipe.flush()
-
-
-def _balance(s: int, m: int, t_step: float, t_own: float, t_help: float, cost: list) -> int:
-    """The split of the next block's chains: [0, s') filled by the stepping
-    process, [s', m) by the helper, so that stepping plus the stepping
-    process's fill takes as long as the helper's fill.  ``t_own`` and
-    ``t_help`` are the two fills' seconds at split ``s``; ``cost`` holds
-    each side's last measured seconds per chain, and is updated."""
-    if s > 0:
-        cost[0] = t_own / s
-    if s < m:
-        cost[1] = t_help / (m - s)
-    own, helper = cost[0] or cost[1], cost[1] or cost[0]
-    if own + helper <= 0.0:
-        return s
-    return min(m, max(0, round((helper * m - t_step) / (own + helper))))
-
-
-def _serve(fill, streams, s: int, m: int, requests, replies) -> None:
-    """The helper's loop.  A request (k, s', states) moves the split to
-    s': the chains [s', s) come over with ``states``, and the states of
-    the chains [s, s') go back at once.  The helper then fills chains
-    [s', m) of block k and replies with the seconds that took."""
-    while True:
-        k, new, states = pickle.load(requests)
-        if new > s:
-            _send(replies, [streams[j].state for j in range(s, new)])
-        for j, state in zip(range(new, s), states):
-            streams[j].state = state
-        s = new
-        start = time.perf_counter()
-        fill(k, s, m)
-        _send(replies, time.perf_counter() - start)
 
 
 def run_chains(config: SamplerConfig, target: TargetSpec) -> EmpiricalMeasure:
     """Run ``n_chains`` independent chains in vectorized lockstep and
     collect their final iterates.
 
-    Chain i uses RngStream(master_seed, i); the streams are seeded as one
-    ``RngStream.family``.  Noise is drawn per chain in blocks of steps,
-    into two buffers in one shared mapping.  A forked helper process fills
-    chains [s, m) of the next block while this process steps through the
-    current one, then fills chains [0, s) itself.  After each block the
-    split s moves so that the two processes finish together, and each
-    chain that changes owner moves with its generator's exact state, sent
-    over a pipe.  A run of one block has no stepping to overlap a fill
-    with, and forking would cost more than splitting its fill saves, so it
-    forks no helper.  Chains are drawn in chunks into a staging array,
-    scaled in place and copied into the step-major buffer as records of d
-    doubles.  Chain i's draws land at fixed positions whichever process
-    makes them, and its value sequence is that of stepping it alone, so
-    the split cannot change any output: the output is a pure function of
-    (config, target).  If the helper dies, the run raises RuntimeError.
+    Chain i uses RngStream(master_seed, i).  A run of more than one block
+    of steps, with at least two chains, forks one helper process: this
+    process owns chains [0, m//2), the helper [m//2, m).  Each side seeds
+    its own streams as one ``RngStream.family`` and then fills and steps
+    its rows through every block in a private one-block noise buffer;
+    both do the same work per chain, so the fixed split is balanced.  The
+    iterates and active flags sit in one small shared mapping, and the
+    helper sends its divergences, or the exception its rows raised, over
+    a pipe at the end.  A run of one block forks nothing, since forking
+    would cost more than splitting its work saves, nor does one chain.
+    Noise is drawn per chain in chunks into a staging array, scaled in
+    place and copied into the step-major buffer as records of d doubles.
+    Each row is computed apart from the others and each chain's draws are
+    those of stepping it alone, so the output is a pure function of
+    (config, target).  If the helper dies, the run raises RuntimeError; if
+    this process raises or is interrupted, the helper is killed at once.
 
     Diverged chains are dropped from the sample matrix and reported in
     meta["diverged_chains"]; if every chain diverges a DivergenceError is
@@ -222,125 +185,101 @@ def run_chains(config: SamplerConfig, target: TargetSpec) -> EmpiricalMeasure:
         raise ValueError(f"config.d={config.d} does not match target.d={target.d}")
     m, d, lam, theta0 = config.n_chains, config.d, config.lam, config.theta0
     n_steps = config.n_steps
-    streams = RngStream.family(config.master_seed, range(m))
     scale = math.sqrt(2.0 * lam / config.beta)
-    # two buffers of half the budget, with a staging array; a chain's
-    # block is at most one call of _CALL_DRAWS draws, rounded up to a step
-    block = max(1, min(n_steps, (_NOISE_BUDGET // 2 - _STAGING) // (m * d), -(-_CALL_DRAWS // d)))
-    chunk = max(1, min(m, _STAGING // (block * d)))
-    n_blocks = -(-n_steps // block)
-    n_buffers = min(2, n_blocks)
-    noise = np.frombuffer(mmap.mmap(-1, n_buffers * block * m * d * 8), dtype=float)
-    noise = noise.reshape(n_buffers, block, m, d)
-    staging = np.empty(chunk * block * d)  # each process writes its own copy
+    # a chain's block is at most one call of _CALL_DRAWS draws, rounded up
+    # to a step, and both halves' blocks fit the budget with the staging
+    block = max(1, min(n_steps, (_NOISE_BUDGET - _STAGING) // (m * d), -(-_CALL_DRAWS // d)))
+    shared = mmap.mmap(-1, m * d * 8 + m)  # each process writes only its own rows
+    theta = np.frombuffer(shared, dtype=float, count=m * d).reshape(m, d)
+    active = np.frombuffer(shared, dtype=bool, offset=m * d * 8)
+    theta[...] = theta0
+    active[...] = True
     row = np.dtype((np.void, 8 * d))  # one chain-step's d doubles, copied as one record
-    theta = np.tile(theta0, (m, 1))
-    active = np.ones(m, dtype=bool)
-    diverged = []
     tamed = config.algorithm != "ula"
-    sq, f, work = np.empty(m), np.empty(m), np.empty((m, d))
 
-    def fill(k, j0, j1):
-        # draw chains [j0, j1) of block k's noise, scaled, chunk by chunk
-        b = min(block, n_steps - k * block)
-        out = noise[k % n_buffers]
-        for c0 in range(j0, j1, chunk):
-            c1 = min(j1, c0 + chunk)
-            draws = staging[:(c1 - c0) * b * d].reshape(c1 - c0, b, d)
-            for j in range(c0, c1):
-                streams[j].normal((b, d), out=draws[j - c0])
-            draws *= scale
-            out[:b, c0:c1].view(row)[...] = draws.transpose(1, 0, 2).view(row)
-
-    def advance_block(k):
-        # step through block k; false once every chain has diverged
-        xi = noise[k % n_buffers]
+    def run_rows(j0, j1):
+        # fill and step chains [j0, j1) through every block; returns
+        # their (chain, step) divergences
+        n = j1 - j0
+        streams = RngStream.family(config.master_seed, range(j0, j1))
+        chunk = max(1, min(n, _STAGING // (block * d)))
+        noise, staging = np.empty((block, n, d)), np.empty(chunk * block * d)
+        rows, alive = theta[j0:j1], active[j0:j1]
+        sq, f, work = np.empty(n), np.empty(n), np.empty((n, d))
+        lost = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(min(block, n_steps - k * block)):
-                _advance(target.drift_parts, target.r, tamed, lam, theta, xi[t], sq, f, work)
-                if np.isfinite(theta.sum()):
-                    continue
-                finite = np.isfinite(theta).all(axis=1)
-                for j in np.nonzero(active & ~finite)[0]:
-                    diverged.append((j, k * block + t + 1))
-                active[~finite] = False
-                if not active.any():
-                    return False
-                # lost rows restart from theta0 and step on unread; rows
-                # are computed apart, so the survivors keep their bits
-                theta[~finite] = theta0
-        return True
+            for k0 in range(0, n_steps, block):
+                b = min(block, n_steps - k0)
+                for c0 in range(0, n, chunk):
+                    c1 = min(n, c0 + chunk)
+                    draws = staging[:(c1 - c0) * b * d].reshape(c1 - c0, b, d)
+                    for j in range(c0, c1):
+                        streams[j].normal((b, d), out=draws[j - c0])
+                    draws *= scale
+                    noise[:b, c0:c1].view(row)[...] = draws.transpose(1, 0, 2).view(row)
+                for t in range(b):
+                    _advance(target.drift_parts, target.r, tamed, lam, rows, noise[t], sq, f, work)
+                    if np.isfinite(rows.sum()):
+                        continue
+                    finite = np.isfinite(rows).all(axis=1)
+                    lost += [(j0 + int(j), k0 + t + 1) for j in np.flatnonzero(alive & ~finite)]
+                    alive[~finite] = False
+                    if not alive.any():
+                        return lost
+                    # lost rows restart from theta0 and step on unread; rows
+                    # are computed apart, so the survivors keep their bits
+                    rows[~finite] = theta0
+        return lost
 
-    if n_blocks == 1:  # no next block to fill while this one steps: no helper
-        fill(0, 0, m)
-        advance_block(0)
+    if n_steps <= block or m < 2:
+        diverged = run_rows(0, m)
     else:
-        s = m // 2
-        requests_r, requests_w = os.pipe()
+        half = m // 2
         replies_r, replies_w = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (requests_r, requests_w, replies_r, replies_w):
-                os.close(fd)
+            os.close(replies_r)
+            os.close(replies_w)
             raise
         if pid == 0:  # the helper: never returns to the caller
             status = 1
             try:
-                os.close(requests_w)
                 os.close(replies_r)
-                with open(requests_r, "rb") as requests, open(replies_w, "wb") as replies:
-                    _serve(fill, streams, s, m, requests, replies)
-            except (EOFError, BrokenPipeError):  # the stepping process is done
+                try:
+                    outcome = run_rows(half, m)
+                except Exception as exc:
+                    outcome = exc
+                try:
+                    message = pickle.dumps(outcome)
+                    pickle.loads(message)
+                except Exception:
+                    message = pickle.dumps(RuntimeError(f"the helper process raised {outcome!r}"))
+                with open(replies_w, "wb") as replies:
+                    replies.write(message)
                 status = 0
-            except Exception:
-                import traceback
-
-                traceback.print_exc()
             finally:
                 os._exit(status)
 
-        os.close(requests_r)
         os.close(replies_w)
-
-        def request(k, new):
-            # hand the helper chains [new, m) of block k, moving the split
-            nonlocal s
-            _send(requests, (k, new, [streams[j].state for j in range(new, s)]))
-            if new > s:
-                for j, state in zip(range(s, new), pickle.load(replies)):
-                    streams[j].state = state
-            s = new
-
-        def own_fill(k):
-            # this process's share of block k, then the helper's time for its own
-            start = time.perf_counter()
-            fill(k, 0, s)
-            return time.perf_counter() - start, pickle.load(replies)
-
-        helper_gone = False
         try:
-            with open(requests_w, "wb") as requests, open(replies_r, "rb") as replies:
-                cost = [0.0, 0.0]
-                request(0, s)
-                t_step, (t_own, t_help) = 0.0, own_fill(0)
-                for k in range(n_blocks - 1):
-                    request(k + 1, _balance(s, m, t_step, t_own, t_help, cost))
-                    start = time.perf_counter()
-                    if not advance_block(k):
-                        break
-                    t_step = time.perf_counter() - start
-                    t_own, t_help = own_fill(k + 1)
-                else:
-                    requests.close()  # the helper exits while the last block steps
-                    advance_block(n_blocks - 1)
-        except (EOFError, BrokenPipeError):  # the helper is gone
-            helper_gone = True
-        finally:
-            _, status = os.waitpid(pid, 0)
-        if helper_gone:
-            raise RuntimeError(f"the noise-filling helper process {pid} ended with exit status "
+            with open(replies_r, "rb") as replies:
+                diverged = run_rows(0, half)
+                try:
+                    outcome = pickle.load(replies)
+                except (EOFError, pickle.UnpicklingError):  # the helper is gone
+                    outcome = None
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        _, status = os.waitpid(pid, 0)
+        if outcome is None:
+            raise RuntimeError(f"the helper process {pid} ended with exit status "
                                f"{os.waitstatus_to_exitcode(status)}")
+        if isinstance(outcome, BaseException):
+            raise outcome
+        diverged += outcome
 
     diverged.sort()
     if not active.any():

@@ -2,8 +2,10 @@ import math
 import os
 import signal
 import threading
+import time
+import tracemalloc
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -310,43 +312,36 @@ def small_blocks(monkeypatch):
     # (6, 15) steps drawn in chunks of 2 chains, so the last block is
     # short; forked processes inherit the cut.  Returns the block lengths
     # of 23 steps at d = 3 and d = 1.
-    monkeypatch.setattr(sampler, "_NOISE_BUDGET", 280)
+    monkeypatch.setattr(sampler, "_NOISE_BUDGET", 140)
     monkeypatch.setattr(sampler, "_STAGING", 30)
     return {3: [5, 5, 5, 5, 3], 1: [15, 8]}
 
 
-@pytest.fixture(params=["timed", "stepper-only", "helper-only"])
-def split(request, monkeypatch):
-    # after the first block the split is balanced by timing, or held at
-    # m (the stepping process fills every chain, the helper none) or at 0
-    # (the helper fills every chain); returns which process, by whether
-    # it is the stepping one, draws from the second block on
-    forced = {"stepper-only": lambda s, m, *times: m,
-              "helper-only": lambda s, m, *times: 0}.get(request.param)
-    if forced:
-        monkeypatch.setattr(sampler, "_balance", forced)
-    return {"stepper-only": True, "helper-only": False}.get(request.param)
-
-
 @dataclass
 class FailingDrift:
-    """Drift parts that raise at call ``at``."""
+    """Drift parts that raise ``error`` at call ``at``: in every process,
+    or with ``in_caller`` set only in (True) or out of (False) the
+    process that made them."""
 
     parts: Callable
     at: int
+    error: type = ArithmeticError
+    in_caller: bool | None = None
     calls: int = 0
+    caller: int = field(default_factory=os.getpid)
 
     def __call__(self, theta, sq):
-        self.calls += 1
-        if self.calls == self.at:
-            raise ArithmeticError(f"drift failed at call {self.at}")
+        if self.in_caller in (None, os.getpid() == self.caller):
+            self.calls += 1
+            if self.calls == self.at:
+                raise self.error(f"drift failed at call {self.at}")
         return self.parts(theta, sq)
 
 
 class TestNoiseBlocks:
-    """The kernel steps through one block of noise while a forked helper
-    process fills its share of the next; with the noise budget cut, a
-    short run spans many blocks."""
+    """The kernel steps the first half of a run's chains and a forked
+    helper process the second, each filling its own block of noise; with
+    the noise budget cut, a short run spans many blocks."""
 
     @staticmethod
     def log_draws(monkeypatch, path):
@@ -376,7 +371,7 @@ class TestNoiseBlocks:
     @pytest.mark.parametrize("name, d", [pytest.param(name, d, id=name + ("-d1" if d == 1 else ""))
                                          for d in (3, 1)
                                          for name in ("gaussian", "mixture", "double-well")])
-    def test_many_blocks_match_single_chain_stepping(self, small_blocks, split, monkeypatch,
+    def test_many_blocks_match_single_chain_stepping(self, small_blocks, monkeypatch,
                                                      tmp_path, name, d, cut, algorithm):
         # blocks cut by the noise budget, or shorter still by one
         # generator call of 10 draws per chain: ceil(10 / d) steps; the
@@ -394,9 +389,10 @@ class TestNoiseBlocks:
         draws = read()
         blocks = {i: [steps for _, steps in chain] for i, chain in draws.items()}
         assert blocks == {i: small_blocks[d] for i in range(7)}
-        if split is not None:
-            assert all((pid == os.getpid()) == split
-                       for chain in draws.values() for pid, _ in chain[1:]), draws
+        # chains [0, 3) draw in this process, chains [3, 7) in one helper
+        pids = [{pid for pid, _ in draws[i]} for i in range(7)]
+        assert pids[:3] == [{os.getpid()}] * 3, draws
+        assert len(pids[3]) == 1 and pids[3] != {os.getpid()} and pids[3:] == [pids[3]] * 4, draws
         for i in range(7):
             assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
 
@@ -408,36 +404,33 @@ class TestNoiseBlocks:
         n_steps=st.integers(1, 30),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_every_chain_changing_process_every_block(self, tmp_path_factory, name, d,
-                                                      n_chains, n_steps, seed):
-        # the split swings between 0 and m after every block, so each chain
-        # changes process every block and moves with its generator's state
+    def test_split_runs_match_single_chain_stepping(self, name, d, n_chains, n_steps, seed):
+        # over any count of chains and blocks, halved between two
+        # processes or not, every chain is the chain stepped alone
         t = make_target(name, d)
         cfg = SamplerConfig(lam=0.05, beta=1.5, d=d, n_chains=n_chains,
                             horizon=n_steps * 0.05 * (1 - 1e-9), master_seed=seed,
                             theta0=np.linspace(-1.0, 1.0, d))
         assert cfg.n_steps == n_steps
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampler, "_NOISE_BUDGET", 280)
+            mp.setattr(sampler, "_NOISE_BUDGET", 140)
             mp.setattr(sampler, "_STAGING", 30)
             mp.setattr(sampler, "_CALL_DRAWS", 30)
-            mp.setattr(sampler, "_balance", lambda s, m, *times: 0 if s else m)
-            read = self.log_draws(mp, tmp_path_factory.mktemp("draws") / "draws.log")
             m = run_chains(cfg, t)
-            draws = read()
         for i in range(n_chains):
             assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
-            # from the third block on, every chain has drawn in both processes
-            if len(draws[i]) >= 3:
-                assert len({pid for pid, _ in draws[i]}) == 2, draws[i]
 
-    @pytest.mark.parametrize("d, n_chains, n_steps, size", [
-        (100, 250, 125, 2 * 41 * 250 * 100 * 8),  # ceil(4096 / d) = 41 steps a block
-        (2, 8000, 700, 2 * 233 * 8000 * 2 * 8),  # short rows: the budget binds first
+    @pytest.mark.parametrize("d, n_chains, n_steps, block", [
+        (2, 8000, 700, 233),  # short rows: the budget binds first
+        (100, 250, 125, 41),  # ceil(4096 / d) steps a block
     ])
-    def test_noise_mapping_size(self, monkeypatch, d, n_chains, n_steps, size):
-        # the shared mapping holds two blocks of one generator call per
-        # chain: 16.4 MB at the protocol shape, not the budget's 59.6 MB
+    def test_memory_is_one_block_of_own_half(self, monkeypatch, d, n_chains, n_steps, block):
+        # this process allocates one block of noise for its own half of the
+        # chains (14.9 MB at d=2 x 8,000, 4.1 MB at the protocol shape),
+        # the staging array, a stream and ~1 KB of generator per own chain,
+        # and a shared mapping of the iterates and active flags alone; a
+        # mapping of two blocks for every chain was 59.6 MB and 16.4 MB
+        assert n_steps >= 3 * block
         sizes = []
         mapping = sampler.mmap.mmap
 
@@ -449,12 +442,20 @@ class TestNoiseBlocks:
         cfg = SamplerConfig(lam=0.01, beta=1.0, d=d, n_chains=n_chains,
                             horizon=n_steps * 0.01 * (1 - 1e-9), master_seed=3)
         assert cfg.n_steps == n_steps
-        run_chains(cfg, make_double_well(d))
-        assert sizes == [size]
-        assert n_steps >= 3 * size // (2 * n_chains * d * 8)  # at least three blocks
+        target = make_double_well(d)
+        tracemalloc.start()
+        try:
+            run_chains(cfg, target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = n_chains // 2
+        assert sizes == [n_chains * d * 8 + n_chains]
+        bound = block * own * d * 8 + sampler._STAGING * 8 + own * 1024 + 2**21
+        assert peak + sum(sizes) <= bound, (peak, sizes)
 
     @pytest.mark.parametrize("cut", ["budget", "call"])
-    def test_survivors_of_a_divergence_match(self, small_blocks, split, monkeypatch, cut):
+    def test_survivors_of_a_divergence_match(self, small_blocks, monkeypatch, cut):
         # untamed steps at lam = 0.4 lose 7 of 9 chains between steps 9 and
         # 20, in blocks of 6 steps, or of 5 when cut by a call of 10 draws
         if cut == "call":
@@ -473,8 +474,9 @@ class TestNoiseBlocks:
 
 class TestHelperProcess:
     """The kernel's helper is a forked process, reaped on every way out of
-    a run whichever process fills the noise, even a helper that fills no
-    chain; a helper that dies fails the run instead of hanging it."""
+    a run: an exception in its rows reaches the caller as itself, one in
+    the caller's rows kills it at once, and a helper that dies fails the
+    run instead of hanging it."""
 
     @pytest.fixture
     def forked(self, monkeypatch):
@@ -511,7 +513,7 @@ class TestHelperProcess:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_normal_return(self, small_blocks, split, forked, deadline):
+    def test_normal_return(self, small_blocks, forked, deadline):
         cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
         threads = threading.active_count()
         run_chains(cfg, make_gaussian(3))
@@ -527,7 +529,19 @@ class TestHelperProcess:
         for i in range(7):
             assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
 
-    def test_all_chains_diverged(self, small_blocks, split, forked, deadline):
+    def test_one_chain_forks_no_helper(self, small_blocks, forked):
+        # one chain of 23 steps in 11 blocks of 2 steps and a last of 1:
+        # there is no second half to give a helper
+        t = make_double_well(3)
+        cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=1, horizon=23 * 0.05,
+                            master_seed=2, theta0=np.array([1.5, -0.5, 0.25]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "_CALL_DRAWS", 6)
+            m = run_chains(cfg, t)
+        assert forked == []
+        assert np.array_equal(chain_alone(t, cfg, 0), m.samples[0])
+
+    def test_all_chains_diverged(self, small_blocks, forked, deadline):
         cfg = SamplerConfig(lam=0.5, beta=1.0, d=2, n_chains=4, horizon=10.0, master_seed=0,
                             theta0=np.array([1e200, 0.0]), algorithm="ula")
         with pytest.raises(DivergenceError):
@@ -535,7 +549,7 @@ class TestHelperProcess:
         assert forked
         self.assert_all_reaped(forked)
 
-    def test_drift_raising_mid_run(self, small_blocks, split, forked, deadline):
+    def test_drift_raising_mid_run(self, small_blocks, forked, deadline):
         t = make_double_well(3)
         t = replace(t, drift_parts=FailingDrift(t.drift_parts, at=12))
         cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
@@ -544,19 +558,55 @@ class TestHelperProcess:
         assert forked
         self.assert_all_reaped(forked)
 
-    def test_killed_helper_fails_the_run(self, small_blocks, split, forked, deadline, monkeypatch):
-        # at the third step the stepping process kills its helper; blocks
-        # of 5 steps are still to be filled
+    def test_helper_exception_reaches_the_caller(self, small_blocks, forked, deadline):
+        # the helper's rows raise at their 12th step and the caller's never:
+        # the caller raises the helper's exception, type and message
+        t = make_double_well(3)
+        t = replace(t, drift_parts=FailingDrift(t.drift_parts, at=12, error=LookupError,
+                                                in_caller=False))
+        cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
+        with pytest.raises(LookupError, match="^drift failed at call 12$"):
+            run_chains(cfg, t)
+        assert forked
+        self.assert_all_reaped(forked)
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, ArithmeticError])
+    def test_caller_exception_kills_the_helper(self, small_blocks, forked, deadline, error):
+        # the caller's rows raise at their third step while the helper's
+        # half would take 20 steps of 30 s each: the helper is killed and
+        # reaped at once, well before the deadline
+        t = make_double_well(3)
+        failing = FailingDrift(t.drift_parts, at=3, error=error, in_caller=True)
+
+        def slow_helper(theta, sq):
+            if os.getpid() != failing.caller:
+                time.sleep(30)
+            return failing(theta, sq)
+
+        t = replace(t, drift_parts=slow_helper)
+        cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
+        start = time.monotonic()
+        with pytest.raises(error, match="call 3"):
+            run_chains(cfg, t)
+        assert time.monotonic() - start < 30
+        assert forked
+        self.assert_all_reaped(forked)
+
+    def test_killed_helper_fails_the_run(self, small_blocks, forked, deadline, monkeypatch):
+        # the helper kills itself at its third step; blocks of 5 steps are
+        # still to be filled
         steps = []
         advance = sampler._advance
+        caller = os.getpid()
 
-        def kill_at_third_step(*args):
-            steps.append(1)
-            if len(steps) == 3:
-                os.kill(forked[-1], signal.SIGKILL)
+        def kill_helper_at_third_step(*args):
+            if os.getpid() != caller:
+                steps.append(1)
+                if len(steps) == 3:
+                    os.kill(os.getpid(), signal.SIGKILL)
             advance(*args)
 
-        monkeypatch.setattr(sampler, "_advance", kill_at_third_step)
+        monkeypatch.setattr(sampler, "_advance", kill_helper_at_third_step)
         cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
         with pytest.raises(RuntimeError, match="exit status -9"):
             run_chains(cfg, make_gaussian(3))
