@@ -155,6 +155,12 @@ _STAGING = 2**18  # 2 MB
 _CALL_DRAWS = 4096
 
 
+def _split(m: int) -> int:
+    """The caller steps chains [0, _split(m)) of a forked run and the
+    helper the rest: both do the same work per chain, so halves balance."""
+    return m // 2
+
+
 def run_chains(config: SamplerConfig, target: TargetSpec) -> EmpiricalMeasure:
     """Run ``n_chains`` independent chains in vectorized lockstep and
     collect their final iterates.
@@ -234,7 +240,7 @@ def run_chains(config: SamplerConfig, target: TargetSpec) -> EmpiricalMeasure:
     if n_steps <= block or m < 2:
         diverged = run_rows(0, m)
     else:
-        half = m // 2
+        half = _split(m)
         replies_r, replies_w = os.pipe()
         try:
             pid = os.fork()

@@ -317,6 +317,18 @@ def small_blocks(monkeypatch):
     return {3: [5, 5, 5, 5, 3], 1: [15, 8]}
 
 
+@pytest.fixture(params=["timed", "stepper-only", "helper-only"])
+def split(request, monkeypatch):
+    # a forked run's m chains split as the kernel splits them ("timed",
+    # at m // 2), or held at m (this process steps every chain, the
+    # helper none) or at 0 (the helper steps every chain); returns the
+    # count of chains this process steps, as a function of m
+    forced = {"stepper-only": lambda m: m, "helper-only": lambda m: 0}.get(request.param)
+    if forced:
+        monkeypatch.setattr(sampler, "_split", forced)
+    return forced or sampler._split
+
+
 @dataclass
 class FailingDrift:
     """Drift parts that raise ``error`` at call ``at``: in every process,
@@ -371,7 +383,7 @@ class TestNoiseBlocks:
     @pytest.mark.parametrize("name, d", [pytest.param(name, d, id=name + ("-d1" if d == 1 else ""))
                                          for d in (3, 1)
                                          for name in ("gaussian", "mixture", "double-well")])
-    def test_many_blocks_match_single_chain_stepping(self, small_blocks, monkeypatch,
+    def test_many_blocks_match_single_chain_stepping(self, small_blocks, split, monkeypatch,
                                                      tmp_path, name, d, cut, algorithm):
         # blocks cut by the noise budget, or shorter still by one
         # generator call of 10 draws per chain: ceil(10 / d) steps; the
@@ -389,10 +401,12 @@ class TestNoiseBlocks:
         draws = read()
         blocks = {i: [steps for _, steps in chain] for i, chain in draws.items()}
         assert blocks == {i: small_blocks[d] for i in range(7)}
-        # chains [0, 3) draw in this process, chains [3, 7) in one helper
-        pids = [{pid for pid, _ in draws[i]} for i in range(7)]
-        assert pids[:3] == [{os.getpid()}] * 3, draws
-        assert len(pids[3]) == 1 and pids[3] != {os.getpid()} and pids[3:] == [pids[3]] * 4, draws
+        # chains [0, s) draw only in this process, chains [s, 7) only in
+        # one helper (s = 3 unless the split is held)
+        s = split(7)
+        helpers = {pid for i in range(s, 7) for pid, _ in draws[i]}
+        assert all({pid for pid, _ in draws[i]} == {os.getpid()} for i in range(s)), draws
+        assert len(helpers) == (s < 7) and os.getpid() not in helpers, draws
         for i in range(7):
             assert np.array_equal(chain_alone(t, cfg, i), m.samples[i]), i
 
@@ -455,7 +469,7 @@ class TestNoiseBlocks:
         assert peak + sum(sizes) <= bound, (peak, sizes)
 
     @pytest.mark.parametrize("cut", ["budget", "call"])
-    def test_survivors_of_a_divergence_match(self, small_blocks, monkeypatch, cut):
+    def test_survivors_of_a_divergence_match(self, small_blocks, split, monkeypatch, cut):
         # untamed steps at lam = 0.4 lose 7 of 9 chains between steps 9 and
         # 20, in blocks of 6 steps, or of 5 when cut by a call of 10 draws
         if cut == "call":
@@ -513,7 +527,7 @@ class TestHelperProcess:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_normal_return(self, small_blocks, forked, deadline):
+    def test_normal_return(self, small_blocks, split, forked, deadline):
         cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
         threads = threading.active_count()
         run_chains(cfg, make_gaussian(3))
@@ -541,7 +555,7 @@ class TestHelperProcess:
         assert forked == []
         assert np.array_equal(chain_alone(t, cfg, 0), m.samples[0])
 
-    def test_all_chains_diverged(self, small_blocks, forked, deadline):
+    def test_all_chains_diverged(self, small_blocks, split, forked, deadline):
         cfg = SamplerConfig(lam=0.5, beta=1.0, d=2, n_chains=4, horizon=10.0, master_seed=0,
                             theta0=np.array([1e200, 0.0]), algorithm="ula")
         with pytest.raises(DivergenceError):
@@ -549,7 +563,7 @@ class TestHelperProcess:
         assert forked
         self.assert_all_reaped(forked)
 
-    def test_drift_raising_mid_run(self, small_blocks, forked, deadline):
+    def test_drift_raising_mid_run(self, small_blocks, split, forked, deadline):
         t = make_double_well(3)
         t = replace(t, drift_parts=FailingDrift(t.drift_parts, at=12))
         cfg = SamplerConfig(lam=0.05, beta=1.0, d=3, n_chains=7, horizon=1.0, master_seed=2)
@@ -592,9 +606,9 @@ class TestHelperProcess:
         assert forked
         self.assert_all_reaped(forked)
 
-    def test_killed_helper_fails_the_run(self, small_blocks, forked, deadline, monkeypatch):
-        # the helper kills itself at its third step; blocks of 5 steps are
-        # still to be filled
+    def test_killed_helper_fails_the_run(self, small_blocks, split, forked, deadline, monkeypatch):
+        # the helper kills itself at its third step, whether it steps some
+        # chains or none; blocks of 5 steps are still to be filled
         steps = []
         advance = sampler._advance
         caller = os.getpid()
